@@ -57,6 +57,7 @@ from .tomography import (
     count_interior_zeros,
     hermite_function,
     pdf_slice,
+    pdf_slices,
     quadrature_amplitude,
     tomogram,
     tomogram_csv,
@@ -69,7 +70,6 @@ from .transport import (
     equal_mean_alpha,
     equal_mean_parameter,
     find_crossover,
-    mean_photon_of,
     sweep_csv,
     sweep_w1,
     w1_cdf,

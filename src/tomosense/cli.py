@@ -67,17 +67,24 @@ _PI_FRACTION = re.compile(
 
 
 def parse_theta(text: str) -> float:
-    """Angle in radians from a decimal or a pi fraction like ``pi/20`` or ``3pi/4``."""
+    """Angle in radians from a decimal or a pi fraction like ``pi/20`` or ``3pi/4``.
+
+    The angle must be finite: ``nan``, ``inf`` and ``pi/0`` are rejected.
+    """
     m = _PI_FRACTION.match(str(text))
     if m:
         sign = -1.0 if m.group(1) == "-" else 1.0
         coef = float(m.group(2)) if m.group(2) else 1.0
         den = float(m.group(3)) if m.group(3) else 1.0
-        return sign * coef * math.pi / den
-    try:
-        return float(text)
-    except ValueError:
-        raise ValidationError(f"cannot parse angle {text!r}") from None
+        value = sign * coef * math.pi / den if den else math.inf
+    else:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValidationError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"angle must be finite, got {text!r}")
+    return value
 
 
 _STATE_OPTIONS = [
@@ -151,7 +158,11 @@ def resolve_config(subcommand: str, flags: dict, config_path: str | None) -> dic
         dest = name.replace("-", "_")
         value = flags.get(dest)
         if value is None and name in file_values:
-            value = typ(file_values[name])
+            try:
+                value = typ(file_values[name])
+            except ValueError as exc:
+                raise ValidationError(
+                    f"bad config value {name}={file_values[name]!r}: {exc}") from None
         if value is None:
             value = default
         resolved[name] = value

@@ -32,6 +32,7 @@ SAMPLING_GRID_POINTS = 8192
 PairBuilder = Callable[[float], tuple[StateSpec, StateSpec]]
 
 RECORD_MAGIC = b"TOMOSMPL"
+_RECORD_HEADER = struct.Struct("<8sdQQ")
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,7 @@ class MeasurementRecord:
         object.__setattr__(self, "samples", arr)
         if len(arr) != self.shots:
             raise ValidationError("sample count does not match shots")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -70,12 +72,23 @@ class HistogramTomogram:
         object.__setattr__(self, "counts", counts)
 
 
+def _check_seed(seed: int) -> None:
+    """Seeds are unsigned 64-bit, the width the binary record header stores."""
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
+
+
+def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
+    _check_seed(seed)
+    return np.random.SeedSequence((int(seed),) + key)
+
+
 def _generator(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed),) + key)))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, *key)))
 
 
 def _child_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence((int(seed),) + key).generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, *key).generate_state(1, np.uint64)[0])
 
 
 def sample_quadrature(v: FockVector, theta: float, shots: int, seed: int) -> MeasurementRecord:
@@ -198,16 +211,18 @@ def record_csv(record: MeasurementRecord) -> str:
 def record_bytes(record: MeasurementRecord) -> bytes:
     """Binary form: 32-byte header {magic, theta, shots, seed} then little-endian
     float64 samples."""
-    header = struct.pack("<8sdQQ", RECORD_MAGIC, record.theta,
-                         record.shots, record.seed % 2**64)
+    header = _RECORD_HEADER.pack(RECORD_MAGIC, record.theta, record.shots, record.seed)
     return header + record.samples.astype("<f8").tobytes()
 
 
 def record_from_bytes(blob: bytes) -> MeasurementRecord:
-    magic, theta, shots, seed = struct.unpack("<8sdQQ", blob[:32])
+    if len(blob) < _RECORD_HEADER.size:
+        raise ValidationError(
+            f"measurement record needs a {_RECORD_HEADER.size}-byte header, got {len(blob)} bytes")
+    magic, theta, shots, seed = _RECORD_HEADER.unpack_from(blob)
     if magic != RECORD_MAGIC:
         raise ValidationError("not a tomosense measurement record")
-    samples = np.frombuffer(blob[32:], dtype="<f8")
+    samples = np.frombuffer(blob[_RECORD_HEADER.size:], dtype="<f8")
     if len(samples) != shots:
         raise ValidationError("truncated measurement record")
     return MeasurementRecord(theta, samples.copy(), int(seed), int(shots))

@@ -236,8 +236,8 @@ def _run_series(term_log_mag, term_index, term_phase, tail_tol, what, ratio_limi
     log_norm = -math.inf
     log_tol = math.log(tail_tol)
     n = 0
+    lm, lm_next = term_log_mag(0), term_log_mag(1)  # each term's magnitude once
     while True:
-        lm = term_log_mag(n)
         idx = term_index(n)
         if idx > CUTOFF_CAP:
             raise TruncationFailure(
@@ -247,14 +247,16 @@ def _run_series(term_log_mag, term_index, term_phase, tail_tol, what, ratio_limi
         log_mags.append(lm)
         phases.append(term_phase(n))
         log_norm = np.logaddexp(log_norm, 2.0 * lm)
-        log_next_sq = 2.0 * term_log_mag(n + 1)
-        step = 2.0 * (term_log_mag(n + 2) - term_log_mag(n + 1))
+        lm_after = term_log_mag(n + 2)
+        log_next_sq = 2.0 * lm_next
+        step = 2.0 * (lm_after - lm_next)
         q = max(math.exp(min(step, 50.0)), ratio_limit)
         if q < 1.0:
             log_tail = log_next_sq - math.log1p(-q)
             if log_tail - log_norm < log_tol:
                 return indices, log_mags, phases, math.exp(log_tail - log_norm)
         n += 1
+        lm, lm_next = lm_next, lm_after
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,19 @@ Gauss-Legendre rule on the exact squared wavefunction rather than with a
 cumulative trapezoid: the trapezoid's O(h^2) pointwise bias (~1e-5 at the
 default resolution) is visible at the transport module's 1e-6/1e-7
 tolerances, while the per-cell rule leaves the CDF exact to ~1e-12.
+
+Slices of several states on one grid share one Hermite table per abscissa
+set (the grid points and the three Gauss-Legendre node sets), built once at
+the largest cutoff: row ``n`` of the recurrence does not depend on how many
+rows follow it, so each state reads the exact rows ``psi[:cutoff+1]`` it
+would have computed alone.  Only one table is alive at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -113,9 +120,15 @@ def hermite_function(n_max: int, x) -> np.ndarray:
     out[0] = math.pi ** -0.25 * np.exp(-0.5 * xs * xs)
     if n_max >= 1:
         out[1] = math.sqrt(2.0) * xs * out[0]
+    # psi_{n+1} = (x a_n) psi_n - b_n psi_{n-1}, written in place into the
+    # output row with one scratch row; same operations in the same order.
+    scratch = np.empty(xs.size)
     for n in range(1, n_max):
-        out[n + 1] = xs * math.sqrt(2.0 / (n + 1)) * out[n] \
-            - math.sqrt(n / (n + 1.0)) * out[n - 1]
+        row = out[n + 1]
+        np.multiply(xs, math.sqrt(2.0 / (n + 1)), out=scratch)
+        np.multiply(scratch, out[n], out=row)
+        np.multiply(out[n - 1], math.sqrt(n / (n + 1.0)), out=scratch)
+        np.subtract(row, scratch, out=row)
     if np.isscalar(x) or np.ndim(x) == 0:
         return out[:, 0]
     return out
@@ -165,26 +178,56 @@ def pdf_slice(v: FockVector, theta: float, grid: QuadratureGrid) -> Distribution
     probability.  The CDF is clipped to 1 and is nondecreasing by
     construction (cell increments are integrals of a nonnegative function).
     """
+    return pdf_slices([v], theta, grid)[0]
+
+
+def pdf_slices(vectors: Sequence[FockVector], theta: float,
+               grid: QuadratureGrid) -> list[DistributionSlice]:
+    """Slices of several states at one theta on one shared grid.
+
+    Equal, byte for byte, to ``[pdf_slice(v, theta, grid) for v in vectors]``,
+    but each abscissa set gets a single Hermite table at the largest cutoff,
+    which every state reads by row prefix.
+    """
+    n_max = max(v.cutoff for v in vectors)
+    coeffs = [_rotated_coefficients(v, theta) for v in vectors]
     xs = grid.points()
-    psi = hermite_function(v.cutoff, xs)
-    coeffs = _rotated_coefficients(v, theta)
-    pdf = np.abs(coeffs @ psi) ** 2
+    pdfs = _densities(coeffs, hermite_function(n_max, xs))
 
     h = grid.spacing
     mids = 0.5 * (xs[:-1] + xs[1:])
-    increments = np.zeros(len(xs) - 1)
+    increments = [np.zeros(len(xs) - 1) for _ in vectors]
     for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
         pts = mids + 0.5 * h * node
-        increments += weight * np.abs(coeffs @ hermite_function(v.cutoff, pts)) ** 2
-    cdf = np.concatenate([[0.0], np.cumsum(increments * h)])
+        for inc, density in zip(increments, _densities(coeffs, hermite_function(n_max, pts))):
+            inc += weight * density
 
-    deficit = 1.0 - cdf[-1]
-    if deficit > 1e-8:
-        raise GridTooNarrow(
-            f"grid half-width {grid.x_max:g} drops {deficit:.3e} of the probability "
-            f"at theta={theta:g}"
-        )
-    return DistributionSlice(grid, theta, pdf, np.minimum(cdf, 1.0))
+    slices = []
+    for pdf, inc in zip(pdfs, increments):
+        cdf = np.concatenate([[0.0], np.cumsum(inc * h)])
+        deficit = 1.0 - cdf[-1]
+        if deficit > 1e-8:
+            raise GridTooNarrow(
+                f"grid half-width {grid.x_max:g} drops {deficit:.3e} of the probability "
+                f"at theta={theta:g}"
+            )
+        slices.append(DistributionSlice(grid, theta, pdf, np.minimum(cdf, 1.0)))
+    return slices
+
+
+def _densities(coeffs: list[np.ndarray], psi: np.ndarray) -> list[np.ndarray]:
+    """|c @ psi[:len(c)]|^2 per coefficient vector, from two real products.
+
+    Real and imaginary parts go through real matrix products instead of a
+    complex one (which would first cast ``psi`` to complex); the values are
+    the same.  ``np.abs`` of the recombined complex value is kept because
+    ``hypot(re, im) ** 2`` rounds differently.
+    """
+    out = []
+    for c in coeffs:
+        rows = psi[:len(c)]
+        out.append(np.abs((c.real @ rows) + 1j * (c.imag @ rows)) ** 2)
+    return out
 
 
 def tomogram(v: FockVector, theta_count: int, grid: QuadratureGrid,

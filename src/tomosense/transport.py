@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import EmptySamples, GridMismatch, MultipleRootsWarning, ValidationError
 from .states import StateSpec, build_state, mean_photon_number
-from .tomography import DEFAULT_GRID_POINTS, DistributionSlice, auto_grid, pdf_slice
+from .tomography import DEFAULT_GRID_POINTS, DistributionSlice, auto_grid, pdf_slices
 
 W1Curve = Callable[[float, float], float]
 
@@ -131,7 +131,7 @@ def w1_states(spec_a: StateSpec, spec_b: StateSpec, theta: float,
     """
     va, vb = build_state(spec_a), build_state(spec_b)
     grid = auto_grid(va, n_points=n_points).union(auto_grid(vb, n_points=n_points))
-    return w1_cdf(pdf_slice(va, theta, grid), pdf_slice(vb, theta, grid))
+    return w1_cdf(*pdf_slices([va, vb], theta, grid))
 
 
 def w1_curve(reference: StateSpec, comparison: StateSpec,
@@ -180,7 +180,7 @@ def sweep_w1(reference: StateSpec, comparisons: Sequence[StateSpec],
             except ValidationError:
                 continue
             grid = ref_grid.union(auto_grid(cmp_vec, n_points=n_points))
-            col[i] = w1_cdf(pdf_slice(ref_vec, theta, grid), pdf_slice(cmp_vec, theta, grid))
+            col[i] = w1_cdf(*pdf_slices([ref_vec, cmp_vec], theta, grid))
     return SweepTable(swept, values, [(lab, col) for lab, col in columns])
 
 
@@ -306,11 +306,6 @@ def w1_empirical(samples_a, samples_b) -> float:
     cdf_a = np.searchsorted(a, merged[:-1], side="right") / len(a)
     cdf_b = np.searchsorted(b, merged[:-1], side="right") / len(b)
     return float(np.sum(np.abs(cdf_a - cdf_b) * np.diff(merged)))
-
-
-def mean_photon_of(spec: StateSpec) -> float:
-    """Mean photon number of the state a spec addresses."""
-    return mean_photon_number(build_state(spec))
 
 
 # ---------------------------------------------------------------------------

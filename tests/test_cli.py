@@ -38,6 +38,23 @@ def test_parse_theta_rejects_garbage():
         parse_theta("two pies")
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "pi/0", "1e309"])
+def test_parse_theta_rejects_non_finite(text):
+    with pytest.raises(ValidationError):
+        parse_theta(text)
+
+
+def test_non_finite_theta_exits_2(tmp_path):
+    out = tmp_path / "w1.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("w1", "--b-m", 1, "--theta", "nan", "--out", out)
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta=inf\n")
+    assert run_cli("w1", "--b-m", 1, "--config", cfg, "--out", out) == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -155,6 +172,21 @@ def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("state", "--no-such-flag")
     assert exc.value.code == 2
+
+
+def test_bad_config_values_and_seeds_exit_2(tmp_path, capsys):
+    out = tmp_path / "rec.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("shots=1e3\n")
+    assert run_cli("sample", "--config", cfg, "--out", out) == 2
+    assert "shots" in capsys.readouterr().err
+    for seed in (-1, 2**64):
+        assert run_cli("sample", "--shots", 10, "--seed", seed, "--out", out) == 2
+        assert run_cli("empirical-crossover", "--shots", 10, "--scan-points", 2,
+                       "--seed", seed, "--out", out) == 2
+    assert not out.exists()
+    assert run_cli("sample", "--shots", 10, "--seed", 2**64 - 1, "--format", "bin",
+                   "--out", out) == 0
 
 
 def test_csv_numbers_roundtrip_doubles(tmp_path):

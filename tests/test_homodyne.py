@@ -182,3 +182,19 @@ def test_record_binary_roundtrip():
     back = record_from_bytes(blob)
     assert back.theta == rec.theta and back.seed == rec.seed and back.shots == rec.shots
     assert np.array_equal(back.samples, rec.samples)
+
+
+def test_record_from_bytes_rejects_short_and_foreign_blobs():
+    blob = record_bytes(sample_quadrature(vacuum(), 0.0, 4, 2**64 - 1))
+    assert record_from_bytes(blob).seed == 2**64 - 1
+    for bad in (b"", b"abc", blob[:31], b"X" + blob[1:], blob[:-8]):
+        with pytest.raises(ValidationError):
+            record_from_bytes(bad)
+
+
+def test_seed_outside_uint64_rejected():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValidationError):
+            sample_quadrature(vacuum(), 0.0, 4, seed)
+        with pytest.raises(ValidationError):
+            MeasurementRecord(0.0, np.zeros(2), seed, 2)

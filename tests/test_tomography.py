@@ -12,6 +12,7 @@ from tomosense.tomography import (
     count_interior_zeros,
     hermite_function,
     pdf_slice,
+    pdf_slices,
     quadrature_amplitude,
     tomogram,
     tomogram_csv,
@@ -50,6 +51,13 @@ def test_hermite_bounded_and_finite_over_full_domain():
     psi = hermite_function(512, xs)
     assert np.all(np.isfinite(psi))
     assert np.max(np.abs(psi)) <= 1.0
+
+
+def test_hermite_rows_do_not_depend_on_n_max():
+    xs = np.linspace(-9.0, 9.0, 301)
+    full = hermite_function(60, xs)
+    for k in (0, 1, 2, 17, 59):
+        assert np.array_equal(full[:k + 1], hermite_function(k, xs))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +156,45 @@ def test_parity_of_slices(default_r):
     assert np.array_equal(even.pdf, even.pdf[::-1])
     odd = build_svs_family(SqueezeParams(default_r), 1)
     assert abs(quadrature_amplitude(odd, 0.4, 0.0)) == 0.0
+
+
+def _reference_slice(v, theta, grid):
+    """pdf_slice written out state by state with the complex matrix product."""
+    coeffs = v.amplitudes * np.exp(-1j * theta * np.arange(v.cutoff + 1))
+    xs = grid.points()
+    pdf = np.abs(coeffs @ hermite_function(v.cutoff, xs)) ** 2
+    h = grid.spacing
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    nodes = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
+    weights = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
+    increments = np.zeros(len(mids))
+    for node, weight in zip(nodes, weights):
+        increments += weight * np.abs(coeffs @ hermite_function(v.cutoff, mids + 0.5 * h * node)) ** 2
+    cdf = np.concatenate([[0.0], np.cumsum(increments * h)])
+    return pdf, np.minimum(cdf, 1.0)
+
+
+SHARED_TABLE_PAIRS = [
+    (lambda: build_svs_family(SqueezeParams(0.7), 0),
+     lambda: build_svs_family(SqueezeParams(0.7, 1.1), 3)),
+    (lambda: build_cat_family("even", CatParams(complex(1.2, 0.7)), 1),
+     lambda: build_svs_family(SqueezeParams(0.6, 1.1), -2)),
+]
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 7])
+@pytest.mark.parametrize("pair", SHARED_TABLE_PAIRS)
+def test_shared_table_slices_equal_single_state_slices(pair, theta):
+    va, vb = pair[0](), pair[1]()
+    assert va.cutoff != vb.cutoff
+    grid = auto_grid(va).union(auto_grid(vb))
+    for v, shared in zip((va, vb), pdf_slices([va, vb], theta, grid)):
+        alone = pdf_slice(v, theta, grid)
+        assert np.array_equal(shared.pdf, alone.pdf)
+        assert np.array_equal(shared.cdf, alone.cdf)
+        pdf, cdf = _reference_slice(v, theta, grid)
+        np.testing.assert_allclose(shared.pdf, pdf, rtol=1e-13, atol=1e-300)
+        np.testing.assert_allclose(shared.cdf, cdf, rtol=1e-13, atol=1e-300)
 
 
 def test_grid_too_narrow():
