@@ -6,6 +6,13 @@ interpolation of the CDF on an 8192-point slice), binned into histogram
 tomograms, and fed to the empirical Wasserstein estimator, so the whole
 crossover analysis can be repeated from samples alone.
 
+The interpolated inverse is evaluated at the uniforms in ascending order,
+which lets the interval search reuse its previous hit; each value depends
+only on its uniform, so a record returned in shot order is the same as one
+evaluated in shot order.  A crossover evaluation builds one inverse per
+distinct state (the reference is shared by both curves) and hands the
+sorted outcomes straight to the empirical W1, which only needs the multiset.
+
 Randomness comes from the counter-based Philox generator keyed by the user
 seed, with per-row child streams keyed by (master seed, row index); records
 regenerate bit-exactly from (state, theta, seed, shots) regardless of
@@ -91,23 +98,40 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(_seed_sequence(seed, *key).generate_state(1, np.uint64)[0])
 
 
+def _inverse_cdf(v: FockVector, theta: float) -> tuple[PchipInterpolator, float, float]:
+    """Monotone (PCHIP) inverse of the exact slice CDF and its captured mass [lo, hi].
+
+    Flat CDF stretches are dropped so the interpolation nodes strictly increase.
+    """
+    grid = auto_grid(v, n_points=SAMPLING_GRID_POINTS)
+    sl = pdf_slice(v, theta, grid)
+    keep = np.concatenate([[True], np.diff(sl.cdf) > 0])
+    cdf = sl.cdf[keep]
+    return PchipInterpolator(cdf, grid.points()[keep]), cdf[0], cdf[-1]
+
+
+def _uniforms(lo: float, hi: float, shots: int, seed: int) -> np.ndarray:
+    """``shots`` uniform variates scaled into the captured mass [lo, hi]."""
+    return _generator(seed).random(shots) * (hi - lo) + lo
+
+
 def sample_quadrature(v: FockVector, theta: float, shots: int, seed: int) -> MeasurementRecord:
     """Draw quadrature outcomes by inverse-CDF sampling of the exact slice.
 
     The CDF on the high-resolution slice is inverted with a monotone cubic
     (PCHIP) interpolant; uniform variates are scaled into the captured mass,
-    whose deficit is below 1e-10 by the auto-grid guarantee.
+    whose deficit is below 1e-10 by the auto-grid guarantee.  The inverse is
+    evaluated in ascending-uniform order and the outcomes are returned in
+    shot order.
     """
     if shots < 1:
         raise ValidationError("shots must be >= 1")
-    grid = auto_grid(v, n_points=SAMPLING_GRID_POINTS)
-    sl = pdf_slice(v, theta, grid)
-    keep = np.concatenate([[True], np.diff(sl.cdf) > 0])
-    inverse = PchipInterpolator(sl.cdf[keep], grid.points()[keep])
-    rng = _generator(seed)
-    lo, hi = sl.cdf[keep][0], sl.cdf[keep][-1]
-    u = rng.random(shots) * (hi - lo) + lo
-    return MeasurementRecord(theta, inverse(u), int(seed), shots)
+    inverse, lo, hi = _inverse_cdf(v, theta)
+    u = _uniforms(lo, hi, shots, seed)
+    order = np.argsort(u)
+    x = np.empty(shots)
+    x[order] = inverse(u[order])
+    return MeasurementRecord(theta, x, int(seed), shots)
 
 
 def histogram_tomogram(v: FockVector, theta_count: int, bins: int,
@@ -137,15 +161,19 @@ def empirical_crossover(pairs: tuple[PairBuilder, PairBuilder], theta: float,
     """Crossover search where every W1 comes from sampled records.
 
     ``pairs`` maps a parameter value to the (reference, comparison) specs of
-    each curve; every evaluation samples all four states with fresh child
-    seeds keyed by an evaluation counter, so the whole search is a pure
-    function of (pairs, theta, bracket, shots, seed).  The expected location
-    error scales like 3/sqrt(shots) in the parameter; when that exceeds a
-    tenth of the bracket the result is flagged low-confidence.
+    each curve; every evaluation draws four records with fresh child seeds
+    keyed by an evaluation counter, so the whole search is a pure function
+    of (pairs, theta, bracket, shots, seed).  Each evaluation builds one
+    inverse CDF per distinct state, so a reference shared by both curves is
+    sliced once.  The expected location error scales like 3/sqrt(shots) in
+    the parameter; when that exceeds a tenth of the bracket the result is
+    flagged low-confidence.
     """
     lo, hi = bracket
     if not (lo < hi):
         raise ValidationError("bracket needs lo < hi")
+    if scan_points < 2:
+        raise ValidationError("scan needs at least 2 points")
     if shots < 2:
         raise ValidationError("shots must be >= 2")
     low_confidence = 3.0 / math.sqrt(shots) > 0.1 * (hi - lo)
@@ -153,15 +181,17 @@ def empirical_crossover(pairs: tuple[PairBuilder, PairBuilder], theta: float,
 
     def h(p: float) -> float:
         nonlocal counter
+        inverses = {}
         values = []
         for i, pair in enumerate(pairs):
-            ref_spec, cmp_spec = pair(p)
-            rec = [
-                sample_quadrature(build_state(spec), theta, shots,
-                                  _child_seed(seed, counter, i, j))
-                for j, spec in enumerate((ref_spec, cmp_spec))
-            ]
-            values.append(w1_empirical(rec[0].samples, rec[1].samples))
+            outcomes = []
+            for j, spec in enumerate(pair(p)):
+                if spec not in inverses:
+                    inverses[spec] = _inverse_cdf(build_state(spec), theta)
+                inverse, u_lo, u_hi = inverses[spec]
+                u = _uniforms(u_lo, u_hi, shots, _child_seed(seed, counter, i, j))
+                outcomes.append(inverse(np.sort(u)))
+            values.append(w1_empirical(*outcomes))
         counter += 1
         return values[0] - values[1]
 
@@ -174,8 +204,7 @@ def empirical_crossover(pairs: tuple[PairBuilder, PairBuilder], theta: float,
         return CrossoverResult(False, None, bracket, residual, scan_points, 0, low_confidence)
     a, b = float(ps[changes[0]]), float(ps[changes[0] + 1])
     ha = float(hs[changes[0]])
-    mid, hmid = 0.5 * (a + b), math.inf
-    while b - a > param_tol:
+    while True:  # a scan cell already below param_tol still gets one evaluation
         mid = 0.5 * (a + b)
         hmid = h(mid)
         if hmid == 0.0:
@@ -184,6 +213,8 @@ def empirical_crossover(pairs: tuple[PairBuilder, PairBuilder], theta: float,
             a, ha = mid, hmid
         else:
             b = mid
+        if b - a <= param_tol:
+            break
     return CrossoverResult(True, mid, bracket, abs(hmid), scan_points, n_changes, low_confidence)
 
 

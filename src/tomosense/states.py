@@ -312,6 +312,7 @@ def _svs_subtracted(p: SqueezeParams, m: int, tail_tol: float) -> FockVector:
     log_t = math.log(t)
     ln2 = math.log(2.0)
     n0 = (m + 1) // 2  # smallest n with 2n >= m
+    what = f"{m}-photon-subtracted SVS at r={p.r:g}"
 
     def log_mag(k):
         n = n0 + k
@@ -320,11 +321,11 @@ def _svs_subtracted(p: SqueezeParams, m: int, tail_tol: float) -> FockVector:
 
     idx, lm, ph, tail = _run_series(
         log_mag, lambda k: 2 * (n0 + k) - m, lambda k: _series_phase(n0 + k, p.phi), tail_tol,
-        f"{m}-photon-subtracted SVS at r={p.r:g}", ratio_limit=t * t,
+        what, ratio_limit=t * t,
     )
-    log_norm = math.log(_subtracted_norm_closed(p.r, m)) if m <= 3 else None
+    log_norm = _log_closed_norm(_subtracted_norm_closed(p.r, m), what) if m <= 3 else None
     vec = _finish(idx, lm, ph, tail, log_norm)
-    _check_tail(vec, tail_tol, f"{m}-photon-subtracted SVS at r={p.r:g}")
+    _check_tail(vec, tail_tol, what)
     return vec
 
 
@@ -339,6 +340,13 @@ def _log_norm_added(r: float, m: int) -> float:
     """log of m!(cosh r)^(m+1) P_m(cosh r), the added-series squared norm."""
     c = math.cosh(r)
     return gammaln(m + 1) + (m + 1) * math.log(c) + math.log(eval_legendre(m, c))
+
+
+def _log_closed_norm(norm: float, what: str) -> float:
+    """log of a closed-form squared norm, which underflows to 0 for tiny parameters."""
+    if not norm > 0.0:
+        raise ValidationError(f"{what}: closed-form norm underflows to {norm:g}")
+    return math.log(norm)
 
 
 def _subtracted_norm_closed(r: float, m: int) -> float:
@@ -480,7 +488,7 @@ def _log_norm_cat(kind: str, mag: float, m_add: int) -> float:
     if kind == "coherent":
         return x
     if kind == "odd":
-        return math.log(math.sinh(x))
+        return _log_closed_norm(math.sinh(x), f"odd cat at |alpha|={mag:g}")
     if m_add == 0:
         return math.log(math.cosh(x))
     if m_add == 1:

@@ -189,6 +189,41 @@ def test_bad_config_values_and_seeds_exit_2(tmp_path, capsys):
                    "--out", out) == 0
 
 
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_empirical_crossover_narrow_scan_cell_is_strict_json(tmp_path):
+    out = tmp_path / "cross.json"
+    assert run_cli("empirical-crossover", "--shots", 1000, "--scan-points", 2,
+                   "--lo", 0.44, "--hi", 0.44005, "--seed", 3, "--out", out) == 0
+    payload = strict_json(out.read_text())
+    assert payload["found"] is True
+    assert payload["location"] == pytest.approx(0.440025, abs=1e-12)
+    assert math.isfinite(payload["residual"])
+
+
+def test_empirical_crossover_needs_two_scan_points(tmp_path, capsys):
+    out = tmp_path / "cross.json"
+    assert run_cli("empirical-crossover", "--scan-points", 0, "--out", out) == 2
+    assert "scan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("--r", 1e-300, "--m", -2),
+    ("--family", "cat-odd", "--alpha-re", 1e-200),
+])
+def test_underflowed_closed_form_norm_exits_2(tmp_path, capsys, args):
+    out = tmp_path / "coeffs.csv"
+    assert run_cli("state", *args, "--out", out) == 2
+    assert "norm underflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_csv_numbers_roundtrip_doubles(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--family", "svs", "--compare", "1", "--lo", 0.3,

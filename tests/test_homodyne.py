@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 from scipy.stats import chi2_contingency
 
 from tomosense.errors import ValidationError
 from tomosense.homodyne import (
+    SAMPLING_GRID_POINTS,
     MeasurementRecord,
+    _child_seed,
     empirical_crossover,
     histogram_tomogram,
     record_bytes,
@@ -15,7 +18,8 @@ from tomosense.homodyne import (
     sample_quadrature,
     state_pair,
 )
-from tomosense.states import SqueezeParams, build_svs_family
+from tomosense.states import SqueezeParams, build_state, build_svs_family
+from tomosense.transport import CrossoverResult
 from tomosense.tomography import auto_grid, pdf_slice
 from tomosense.transport import w1_cdf, w1_empirical
 
@@ -60,6 +64,66 @@ def test_antisqueezed_sample_variance():
     v = build_svs_family(SqueezeParams(0.5), 0)
     rec = sample_quadrature(v, math.pi / 2, 10**6, 31337)
     assert np.var(rec.samples) == pytest.approx(math.e / 2, rel=0.01)
+
+
+def unsorted_samples(v, theta, shots, seed):
+    """Reference copy of inverse-CDF sampling that evaluates the uniforms in shot order."""
+    grid = auto_grid(v, n_points=SAMPLING_GRID_POINTS)
+    sl = pdf_slice(v, theta, grid)
+    keep = np.concatenate([[True], np.diff(sl.cdf) > 0])
+    inverse = PchipInterpolator(sl.cdf[keep], grid.points()[keep])
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed,))))
+    lo, hi = sl.cdf[keep][0], sl.cdf[keep][-1]
+    return inverse(rng.random(shots) * (hi - lo) + lo)
+
+
+@pytest.mark.parametrize("shots", [1000, 100_000])
+@pytest.mark.parametrize("spec,theta", [(svs_spec(m=1), math.pi / 7),
+                                        (svs_spec(m=-2, phi=1.1), 0.3)])
+def test_sorted_evaluation_keeps_record_bytes(spec, theta, shots):
+    v = build_state(spec)
+    rec = sample_quadrature(v, theta, shots, 8128)
+    assert np.array_equal(rec.samples, unsorted_samples(v, theta, shots, 8128))
+
+
+def shot_order_crossover(pairs, theta, bracket, shots, seed, scan_points, param_tol=1e-4):
+    """Reference copy of the crossover search that samples every record in shot order."""
+    counter = 0
+
+    def h(p):
+        nonlocal counter
+        values = []
+        for i, pair in enumerate(pairs):
+            rec = [unsorted_samples(build_state(spec), theta, shots,
+                                    _child_seed(seed, counter, i, j))
+                   for j, spec in enumerate(pair(p))]
+            values.append(w1_empirical(*rec))
+        counter += 1
+        return values[0] - values[1]
+
+    ps = np.linspace(*bracket, scan_points)
+    hs = np.array([h(p) for p in ps])
+    changes = np.nonzero(np.diff(np.sign(hs)) != 0)[0]
+    assert len(changes) > 0
+    a, b = float(ps[changes[0]]), float(ps[changes[0] + 1])
+    ha = float(hs[changes[0]])
+    while b - a > param_tol:
+        mid = 0.5 * (a + b)
+        hmid = h(mid)
+        if hmid == 0.0:
+            break
+        if (hmid > 0) == (ha > 0):
+            a, ha = mid, hmid
+        else:
+            b = mid
+    return CrossoverResult(True, mid, bracket, abs(hmid), scan_points, len(changes), False)
+
+
+def test_empirical_crossover_matches_shot_order_sampling():
+    pairs = (state_pair(svs_spec(), svs_spec(m=1)), state_pair(svs_spec(), svs_spec(m=2)))
+    new = empirical_crossover(pairs, 0.0, (0.30, 0.60), 10**4, 2024, scan_points=12)
+    assert new.found
+    assert new == shot_order_crossover(pairs, 0.0, (0.30, 0.60), 10**4, 2024, 12)
 
 
 def test_shots_validation():
