@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -32,7 +32,7 @@ from scipy.interpolate import PchipInterpolator
 from .errors import ValidationError
 from .states import FockVector, StateSpec, build_state
 from .tomography import auto_grid, pdf_slice
-from .transport import CrossoverResult, w1_empirical
+from .transport import CrossoverResult, _scan_and_bisect, w1_empirical
 
 SAMPLING_GRID_POINTS = 8192
 
@@ -168,15 +168,15 @@ def empirical_crossover(pairs: tuple[PairBuilder, PairBuilder], theta: float,
     sliced once.  The expected location error scales like 3/sqrt(shots) in
     the parameter; when that exceeds a tenth of the bracket the result is
     flagged low-confidence.
+
+    The search is the exact one's (MultipleRootsWarning on several sign
+    changes) with no residual target, stopping once a midpoint bisects a cell
+    narrower than ``2 * param_tol``.  A scan cell exactly
+    ``2**k * 2 * param_tol`` wide gets one more halving than a stop at
+    ``half <= param_tol`` would give.
     """
-    lo, hi = bracket
-    if not (lo < hi):
-        raise ValidationError("bracket needs lo < hi")
-    if scan_points < 2:
-        raise ValidationError("scan needs at least 2 points")
     if shots < 2:
         raise ValidationError("shots must be >= 2")
-    low_confidence = 3.0 / math.sqrt(shots) > 0.1 * (hi - lo)
     counter = 0
 
     def h(p: float) -> float:
@@ -195,27 +195,9 @@ def empirical_crossover(pairs: tuple[PairBuilder, PairBuilder], theta: float,
         counter += 1
         return values[0] - values[1]
 
-    ps = np.linspace(lo, hi, scan_points)
-    hs = np.array([h(p) for p in ps])
-    changes = np.nonzero(np.diff(np.sign(hs)) != 0)[0]
-    n_changes = int(len(changes))
-    if n_changes == 0:
-        residual = float(min(abs(hs[0]), abs(hs[-1])))
-        return CrossoverResult(False, None, bracket, residual, scan_points, 0, low_confidence)
-    a, b = float(ps[changes[0]]), float(ps[changes[0] + 1])
-    ha = float(hs[changes[0]])
-    while True:  # a scan cell already below param_tol still gets one evaluation
-        mid = 0.5 * (a + b)
-        hmid = h(mid)
-        if hmid == 0.0:
-            break
-        if (hmid > 0) == (ha > 0):
-            a, ha = mid, hmid
-        else:
-            b = mid
-        if b - a <= param_tol:
-            break
-    return CrossoverResult(True, mid, bracket, abs(hmid), scan_points, n_changes, low_confidence)
+    result = _scan_and_bisect(h, bracket, scan_points, 2.0 * param_tol)
+    lo, hi = bracket
+    return replace(result, low_confidence=3.0 / math.sqrt(shots) > 0.1 * (hi - lo))
 
 
 def state_pair(reference: StateSpec, comparison: StateSpec) -> PairBuilder:

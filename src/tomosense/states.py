@@ -161,29 +161,6 @@ class StateSpec:
             return replace(self, params=replace(self.params, r=float(value)))
         return replace(self, params=CatParams(complex(value)))
 
-    def to_record(self) -> dict:
-        """Flat key/value record: {family, r, phi, alpha_re, alpha_im, m, tail_tol}."""
-        rec = {"family": self.family, "m": self.photon_delta, "tail_tol": self.tail_tol}
-        if self.family == "svs":
-            rec["r"] = self.params.r
-            rec["phi"] = self.params.phi
-        else:
-            rec["alpha_re"] = self.params.alpha.real
-            rec["alpha_im"] = self.params.alpha.imag
-        return rec
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "StateSpec":
-        family = str(rec.get("family", "svs"))
-        m = int(rec.get("m", 0))
-        tail_tol = float(rec.get("tail_tol", DEFAULT_TAIL_TOL))
-        if family == "svs":
-            params = SqueezeParams(float(rec.get("r", 0.0)), float(rec.get("phi", 0.0)))
-        else:
-            params = CatParams(complex(float(rec.get("alpha_re", 0.0)),
-                                       float(rec.get("alpha_im", 0.0))))
-        return cls(family, params, m, tail_tol)
-
 
 # ---------------------------------------------------------------------------
 # series assembly helpers

