@@ -279,7 +279,8 @@ def _handle_w1(cfg: dict) -> bytes:
     return (json.dumps({"w1": value, "theta": cfg["theta"]}, indent=2) + "\n").encode()
 
 
-def _handle_sweep(cfg: dict) -> bytes:
+def _sweep_tables(cfg: dict, thetas: list[float]) -> list[SweepTable]:
+    """The sweep of ``cfg`` at each of ``thetas`` (``cfg["theta"]`` is not read)."""
     reference = _state_spec(cfg)
     deltas = [_parse_delta(tok) for tok in cfg["compare"].split(",") if tok.strip()]
     if not deltas:
@@ -287,9 +288,12 @@ def _handle_sweep(cfg: dict) -> bytes:
     comparisons = [
         StateSpec(reference.family, reference.params, d, reference.tail_tol) for d in deltas
     ]
-    table = sweep_w1(reference, comparisons, (cfg["lo"], cfg["hi"], cfg["steps"]),
-                     cfg["theta"], n_points=cfg["grid-points"])
-    return sweep_csv(table).encode()
+    return sweep_w1(reference, comparisons, (cfg["lo"], cfg["hi"], cfg["steps"]),
+                    thetas, n_points=cfg["grid-points"])
+
+
+def _handle_sweep(cfg: dict) -> bytes:
+    return sweep_csv(_sweep_tables(cfg, [cfg["theta"]])[0]).encode()
 
 
 def _crossover_curves(cfg: dict):
@@ -410,8 +414,31 @@ def _reproduce_jobs(cfg: dict) -> list[tuple[str, str, dict]]:
     return jobs
 
 
-def _reproduce_tables(cfg: dict) -> list[tuple[str, bytes]]:
-    """Summary tables that are not single-subcommand products."""
+def _reproduce_sweeps(jobs) -> dict[str, SweepTable]:
+    """Table of every sweep job by filename, one multi-angle sweep per panel set.
+
+    Jobs that differ only in their angle form one set; each table equals the
+    one ``_handle_sweep`` would compute from its job's configuration.
+    """
+    panels: dict[tuple, list[tuple[str, dict]]] = {}
+    for filename, subcommand, sub_cfg in jobs:
+        if subcommand == "sweep":
+            key = tuple(sorted((k, v) for k, v in sub_cfg.items() if k != "theta"))
+            panels.setdefault(key, []).append((filename, sub_cfg))
+    tables = {}
+    for members in panels.values():
+        sweeps = _sweep_tables(members[0][1], [sub_cfg["theta"] for _, sub_cfg in members])
+        tables.update((filename, table) for (filename, _), table in zip(members, sweeps))
+    return tables
+
+
+def _reproduce_tables(cfg: dict, added_theta_0: SweepTable) -> list[tuple[str, bytes]]:
+    """Summary tables that are not single-subcommand products.
+
+    ``added_theta_0`` is the theta = 0 sweep of svs against svs+1..3 over
+    linspace(0.3, 0.8, steps), whose columns are the W1 values of
+    ``w1_vs_mean_photon.csv``.
+    """
     steps, points, tail = cfg["steps"], cfg["grid-points"], cfg["tail-tol"]
     rs = np.linspace(0.3, 0.8, steps)
     svs = lambda m: StateSpec("svs", SqueezeParams(R_DEFAULT), m, tail)  # noqa: E731
@@ -423,9 +450,7 @@ def _reproduce_tables(cfg: dict) -> list[tuple[str, bytes]]:
         "r", rs, [(f"nbar_m{m}", nbar[m]) for m in range(4)])).encode()))
 
     w1_cols = []
-    for m in (1, 2, 3):
-        w1s = np.array([w1_states(svs(0).with_parameter(r), svs(m).with_parameter(r),
-                                  0.0, n_points=points) for r in rs])
+    for m, (_, w1s) in zip((1, 2, 3), added_theta_0.columns):
         w1_cols += [(f"nbar_add{m}", nbar[m]), (f"w1_add{m}", w1s)]
     outputs.append(("w1_vs_mean_photon.csv", sweep_csv(SweepTable("r", rs, w1_cols)).encode()))
 
@@ -464,13 +489,18 @@ def _reproduce_tables(cfg: dict) -> list[tuple[str, bytes]]:
 
 def _handle_reproduce(cfg: dict) -> int:
     outdir = cfg["outdir"]
-    for filename, subcommand, sub_cfg in _reproduce_jobs(cfg):
+    jobs = _reproduce_jobs(cfg)
+    sweeps = _reproduce_sweeps(jobs)
+    for filename, subcommand, sub_cfg in jobs:
         path = os.path.join(outdir, filename)
         sub_cfg = dict(sub_cfg, **{"out": path})
-        payload = HANDLERS[subcommand](sub_cfg)
+        if filename in sweeps:
+            payload = sweep_csv(sweeps[filename]).encode()
+        else:
+            payload = HANDLERS[subcommand](sub_cfg)
         atomic_write(path, payload)
         atomic_write(path + ".meta", _meta_text(subcommand, sub_cfg).encode())
-    for filename, payload in _reproduce_tables(cfg):
+    for filename, payload in _reproduce_tables(cfg, sweeps["w1_added_theta_0.csv"]):
         path = os.path.join(outdir, filename)
         atomic_write(path, payload)
         atomic_write(path + ".meta",

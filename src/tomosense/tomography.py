@@ -17,11 +17,14 @@ cumulative trapezoid: the trapezoid's O(h^2) pointwise bias (~1e-5 at the
 default resolution) is visible at the transport module's 1e-6/1e-7
 tolerances, while the per-cell rule leaves the CDF exact to ~1e-12.
 
-Slices of several states on one grid share one Hermite table per abscissa
-set (the grid points and the three Gauss-Legendre node sets), built once at
-the largest cutoff: row ``n`` of the recurrence does not depend on how many
-rows follow it, so each state reads the exact rows ``psi[:cutoff+1]`` it
-would have computed alone.  Only one table is alive at a time.
+Slices of several states at several angles on one grid share one Hermite
+table per abscissa set (the grid points and the three Gauss-Legendre node
+sets), built once at the largest cutoff: row ``n`` of the recurrence does not
+depend on how many rows follow it, so each state reads the exact rows
+``psi[:cutoff+1]`` it would have computed alone, and the angle enters only
+through the coefficients.  A one-off call keeps one table alive at a time; a
+``HermiteTables`` holder passed in by the caller keeps the four tables of the
+last grid it sliced, so later calls on that grid reuse them.
 """
 
 from __future__ import annotations
@@ -181,52 +184,97 @@ def pdf_slice(v: FockVector, theta: float, grid: QuadratureGrid) -> Distribution
     return pdf_slices([v], theta, grid)[0]
 
 
-def pdf_slices(vectors: Sequence[FockVector], theta: float,
-               grid: QuadratureGrid) -> list[DistributionSlice]:
-    """Slices of several states at one theta on one shared grid.
+def pdf_slices(vectors: Sequence[FockVector], theta: float | Sequence[float],
+               grid: QuadratureGrid, tables: HermiteTables | None = None
+               ) -> list[DistributionSlice] | list[list[DistributionSlice]]:
+    """Slices of several states at one or several thetas on one shared grid.
 
-    Equal, byte for byte, to ``[pdf_slice(v, theta, grid) for v in vectors]``,
-    but each abscissa set gets a single Hermite table at the largest cutoff,
-    which every state reads by row prefix.
+    A single ``theta`` gives ``[pdf_slice(v, theta, grid) for v in vectors]``,
+    byte for byte; a sequence of thetas gives that list for each theta in
+    turn.  Each abscissa set gets a single Hermite table at the largest
+    cutoff, which every (theta, state) reads by row prefix; the tables come
+    from ``tables`` when one is given.
     """
+    single = np.ndim(theta) == 0
+    thetas = [theta] if single else list(theta)
     n_max = max(v.cutoff for v in vectors)
-    coeffs = [_rotated_coefficients(v, theta) for v in vectors]
+    coeffs = [[_rotated_coefficients(v, t) for v in vectors] for t in thetas]
+
+    def densities(key, x):
+        psi = hermite_function(n_max, x) if tables is None else tables.get(grid, key, n_max, x)
+        return [_densities(c, psi) for c in coeffs]
+
     xs = grid.points()
-    pdfs = _densities(coeffs, hermite_function(n_max, xs))
+    pdfs = densities(0, xs)
 
     h = grid.spacing
     mids = 0.5 * (xs[:-1] + xs[1:])
-    increments = [np.zeros(len(xs) - 1) for _ in vectors]
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        pts = mids + 0.5 * h * node
-        for inc, density in zip(increments, _densities(coeffs, hermite_function(n_max, pts))):
-            inc += weight * density
+    increments = [[np.zeros(len(xs) - 1) for _ in vectors] for _ in thetas]
+    for key, (node, weight) in enumerate(zip(_GL_NODES, _GL_WEIGHTS), start=1):
+        for incs, dens in zip(increments, densities(key, mids + 0.5 * h * node)):
+            for inc, density in zip(incs, dens):
+                inc += weight * density
 
-    slices = []
-    for pdf, inc in zip(pdfs, increments):
-        cdf = np.concatenate([[0.0], np.cumsum(inc * h)])
-        deficit = 1.0 - cdf[-1]
-        if deficit > 1e-8:
-            raise GridTooNarrow(
-                f"grid half-width {grid.x_max:g} drops {deficit:.3e} of the probability "
-                f"at theta={theta:g}"
-            )
-        slices.append(DistributionSlice(grid, theta, pdf, np.minimum(cdf, 1.0)))
-    return slices
+    per_theta = []
+    for t, theta_pdfs, theta_incs in zip(thetas, pdfs, increments):
+        slices = []
+        for pdf, inc in zip(theta_pdfs, theta_incs):
+            cdf = np.concatenate([[0.0], np.cumsum(inc * h)])
+            deficit = 1.0 - cdf[-1]
+            if deficit > 1e-8:
+                raise GridTooNarrow(
+                    f"grid half-width {grid.x_max:g} drops {deficit:.3e} of the probability "
+                    f"at theta={t:g}"
+                )
+            slices.append(DistributionSlice(grid, t, pdf, np.minimum(cdf, 1.0)))
+        per_theta.append(slices)
+    return per_theta[0] if single else per_theta
+
+
+class HermiteTables:
+    """Hermite tables of the last grid sliced through this holder, for reuse.
+
+    ``pdf_slices(..., tables=holder)`` takes its table for each abscissa set
+    (key 0 for the grid points, 1-3 for the Gauss-Legendre node sets) from
+    here.  A call on another grid drops the held tables before building new
+    ones, and a call that needs more rows rebuilds that table at its cutoff;
+    since rows are prefix-stable, reuse changes no value.  The tables live as
+    long as the holder.
+    """
+
+    def __init__(self):
+        self._grid = None
+        self._tables = {}
+
+    def get(self, grid: QuadratureGrid, key: int, n_max: int, x: np.ndarray) -> np.ndarray:
+        if grid != self._grid:
+            self._tables.clear()
+            self._grid = grid
+        psi = self._tables.get(key)
+        if psi is None or len(psi) <= n_max:
+            self._tables.pop(key, None)
+            psi = self._tables[key] = hermite_function(n_max, x)
+        return psi
 
 
 def _densities(coeffs: list[np.ndarray], psi: np.ndarray) -> list[np.ndarray]:
-    """|c @ psi[:len(c)]|^2 per coefficient vector, from two real products.
+    """|c @ psi[:len(c)]|^2 per coefficient vector, from real products.
 
     Real and imaginary parts go through real matrix products instead of a
     complex one (which would first cast ``psi`` to complex); the values are
     the same.  ``np.abs`` of the recombined complex value is kept because
-    ``hypot(re, im) ** 2`` rounds differently.
+    ``hypot(re, im) ** 2`` rounds differently.  A vector with no imaginary
+    part (theta = 0 on real amplitudes) skips its product, exactly, since
+    |re + 0i| = |re|.
     """
     out = []
     for c in coeffs:
         rows = psi[:len(c)]
-        out.append(np.abs((c.real @ rows) + 1j * (c.imag @ rows)) ** 2)
+        re = c.real @ rows
+        if c.imag.any():
+            out.append(np.abs(re + 1j * (c.imag @ rows)) ** 2)
+        else:
+            out.append(np.abs(re) ** 2)
     return out
 
 

@@ -28,7 +28,13 @@ import numpy as np
 
 from .errors import EmptySamples, GridMismatch, MultipleRootsWarning, ValidationError
 from .states import StateSpec, build_state, mean_photon_number
-from .tomography import DEFAULT_GRID_POINTS, DistributionSlice, auto_grid, pdf_slices
+from .tomography import (
+    DEFAULT_GRID_POINTS,
+    DistributionSlice,
+    HermiteTables,
+    auto_grid,
+    pdf_slices,
+)
 
 W1Curve = Callable[[float, float], float]
 
@@ -132,31 +138,44 @@ def w1_states(spec_a: StateSpec, spec_b: StateSpec, theta: float,
     Both states are evaluated on the union of their automatic grids, so the
     result is symmetric in its arguments.
     """
-    va, vb = build_state(spec_a), build_state(spec_b)
+    return _w1_pair(build_state(spec_a), build_state(spec_b), theta, n_points)
+
+
+def _w1_pair(va, vb, theta, n_points, tables: HermiteTables | None = None) -> float:
     grid = auto_grid(va, n_points=n_points).union(auto_grid(vb, n_points=n_points))
-    return w1_cdf(*pdf_slices([va, vb], theta, grid))
+    return w1_cdf(*pdf_slices([va, vb], theta, grid, tables))
 
 
 def w1_curve(reference: StateSpec, comparison: StateSpec,
              n_points: int = DEFAULT_GRID_POINTS) -> W1Curve:
-    """Curve p -> W1(reference(p), comparison(p)) for sweeps and crossovers."""
+    """Curve p -> W1(reference(p), comparison(p)) for sweeps and crossovers.
+
+    Each value equals ``w1_states`` at p.  The curve keeps the Hermite tables
+    of the last grid it sliced, which changes only with the pair's cutoffs,
+    so consecutive evaluations on one grid (most of a crossover search) build
+    them once.
+    """
+    tables = HermiteTables()
 
     def curve(p: float, theta: float) -> float:
-        return w1_states(reference.with_parameter(p), comparison.with_parameter(p),
-                         theta, n_points)
+        return _w1_pair(build_state(reference.with_parameter(p)),
+                        build_state(comparison.with_parameter(p)), theta, n_points, tables)
 
     return curve
 
 
 def sweep_w1(reference: StateSpec, comparisons: Sequence[StateSpec],
-             parameter_range: tuple[float, float, int], theta: float,
-             n_points: int = DEFAULT_GRID_POINTS) -> SweepTable:
+             parameter_range: tuple[float, float, int], theta: float | Sequence[float],
+             n_points: int = DEFAULT_GRID_POINTS) -> SweepTable | list[SweepTable]:
     """Tabulate W1(reference, comparison) over a swept parameter.
 
     The swept parameter is the squeezing magnitude for the squeezed family
     and the (real) coherent amplitude for the cat families; all templates
     must agree on which one is being swept.  A comparison state that cannot
     be built at some parameter value leaves a NaN cell instead of aborting.
+    A sequence of thetas gives one table per theta, each equal to its
+    one-theta sweep; every parameter value then builds its states and
+    Hermite tables once for all angles.
     """
     lo, hi, steps = parameter_range
     if not (lo < hi):
@@ -168,23 +187,27 @@ def sweep_w1(reference: StateSpec, comparisons: Sequence[StateSpec],
         other = "r" if spec.family == "svs" else "alpha"
         if other != swept:
             raise ValidationError("all sweep templates must share the swept parameter")
+    single = np.ndim(theta) == 0
+    thetas = [theta] if single else list(theta)
     values = np.linspace(lo, hi, steps)
-    ref_label = reference.label()
-    columns = [(f"{ref_label}:{c.label()}", np.full(steps, np.nan)) for c in comparisons]
+    labels = [f"{reference.label()}:{c.label()}" for c in comparisons]
+    cells = np.full((len(thetas), len(comparisons), steps), np.nan)
     for i, p in enumerate(values):
         try:
             ref_vec = build_state(reference.with_parameter(p))
         except ValidationError:
             continue
         ref_grid = auto_grid(ref_vec, n_points=n_points)
-        for (label, col), cmp_spec in zip(columns, comparisons):
+        for j, cmp_spec in enumerate(comparisons):
             try:
                 cmp_vec = build_state(cmp_spec.with_parameter(p))
             except ValidationError:
                 continue
             grid = ref_grid.union(auto_grid(cmp_vec, n_points=n_points))
-            col[i] = w1_cdf(*pdf_slices([ref_vec, cmp_vec], theta, grid))
-    return SweepTable(swept, values, [(lab, col) for lab, col in columns])
+            for k, pair in enumerate(pdf_slices([ref_vec, cmp_vec], thetas, grid)):
+                cells[k, j, i] = w1_cdf(*pair)
+    tables = [SweepTable(swept, values, list(zip(labels, per_theta))) for per_theta in cells]
+    return tables[0] if single else tables
 
 
 def find_crossover(curve_a: W1Curve, curve_b: W1Curve, bracket: tuple[float, float],
@@ -219,6 +242,8 @@ def _scan_and_bisect(h: Callable[[float], float], bracket: tuple[float, float],
         raise ValidationError("scan needs at least 2 points")
     if not (width_tol > 0):
         raise ValidationError("parameter tolerance must be > 0")
+    if not (residual_tol >= 0):
+        raise ValidationError("residual tolerance must be >= 0")
     if max_iter < 1:
         raise ValidationError("bisection needs max_iter >= 1")
     ps = np.linspace(lo, hi, scan_points)
@@ -269,10 +294,11 @@ def equal_mean_alpha(r: float) -> float:
 
     Solves |alpha|^2 tanh|alpha|^2 = sinh^2 r by bisection; the left side is
     strictly increasing, so the root is unique.  ``r`` must lie in
-    [0, asinh(64)], where sinh^2 r is what |alpha| <= 64 reaches.
+    [0, asinh(12)], where sinh^2 r is what the largest cat amplitude,
+    |alpha| = 12, reaches.
     """
-    if not (0.0 <= r <= math.asinh(64.0)):
-        raise ValidationError(f"r must be in [0, asinh(64)], got {r}")
+    if not (0.0 <= r <= math.asinh(12.0)):
+        raise ValidationError(f"r must be in [0, asinh(12)], got {r}")
     if r == 0.0:
         return 0.0
     return _invert_increasing(lambda a: a * a * math.tanh(a * a), math.sinh(r) ** 2, 0.0)
@@ -300,12 +326,15 @@ def w1_empirical(samples_a, samples_b) -> float:
 
     Equal-size inputs use the order-statistics form, the mean absolute
     difference of sorted samples.  Unequal sizes fall back to the exact
-    integral of the absolute difference of the two step CDFs.
+    integral of the absolute difference of the two step CDFs.  Samples must
+    be finite.
     """
     a = np.sort(np.asarray(samples_a, dtype=float))
     b = np.sort(np.asarray(samples_b, dtype=float))
     if len(a) < 2 or len(b) < 2:
         raise EmptySamples(f"need at least 2 samples per side, got {len(a)} and {len(b)}")
+    if not (np.isfinite(a[[0, -1]]).all() and np.isfinite(b[[0, -1]]).all()):
+        raise ValidationError("samples must be finite")
     if len(a) == len(b):
         return float(np.mean(np.abs(a - b)))
     merged = np.concatenate([a, b])

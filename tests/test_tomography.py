@@ -7,6 +7,7 @@ from scipy.special import eval_hermite, factorial
 from tomosense.errors import GridTooNarrow, ValidationError
 from tomosense.states import CatParams, SqueezeParams, build_cat_family, build_svs_family
 from tomosense.tomography import (
+    HermiteTables,
     QuadratureGrid,
     auto_grid,
     count_interior_zeros,
@@ -195,6 +196,38 @@ def test_shared_table_slices_equal_single_state_slices(pair, theta):
         pdf, cdf = _reference_slice(v, theta, grid)
         np.testing.assert_allclose(shared.pdf, pdf, rtol=1e-13, atol=1e-300)
         np.testing.assert_allclose(shared.cdf, cdf, rtol=1e-13, atol=1e-300)
+
+
+@pytest.mark.parametrize("pair", SHARED_TABLE_PAIRS)
+def test_multi_angle_slices_equal_one_angle_slices(pair):
+    va, vb = pair[0](), pair[1]()
+    grid = auto_grid(va).union(auto_grid(vb))
+    thetas = [0.0, math.pi / 7, math.pi / 2]
+    per_theta = pdf_slices([va, vb], thetas, grid)
+    assert len(per_theta) == len(thetas)
+    for theta, shared in zip(thetas, per_theta):
+        for v, sl in zip((va, vb), shared, strict=True):
+            alone = pdf_slice(v, theta, grid)
+            assert sl.theta == theta
+            assert np.array_equal(sl.pdf, alone.pdf)
+            assert np.array_equal(sl.cdf, alone.cdf)
+
+
+def test_held_tables_equal_fresh_tables():
+    small = build_svs_family(SqueezeParams(0.5), 0)
+    large = build_svs_family(SqueezeParams(0.5, 1.1), 3)
+    other = build_cat_family("even", CatParams(complex(1.2, 0.7)), 1)
+    grid = auto_grid(large)
+    tables = HermiteTables()
+    # a new grid, more rows on the same grid, a row prefix, then another grid
+    for vectors, g in [([small], grid), ([small, large], grid), ([small], grid),
+                       ([other], auto_grid(other))]:
+        for theta in (0.0, math.pi / 7):
+            held = pdf_slices(vectors, theta, g, tables)
+            for v, sl in zip(vectors, held, strict=True):
+                alone = pdf_slice(v, theta, g)
+                assert np.array_equal(sl.pdf, alone.pdf)
+                assert np.array_equal(sl.cdf, alone.cdf)
 
 
 def test_grid_too_narrow():

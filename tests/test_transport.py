@@ -141,6 +141,20 @@ def test_sweep_missing_cells_and_csv():
     assert value == col[1]
 
 
+def test_multi_angle_sweep_equals_one_angle_sweeps():
+    comparisons = [svs_spec(m=1), svs_spec(m=-2)]
+    thetas = [0.0, math.pi / 50, math.pi / 2]
+    tables = sweep_w1(svs_spec(), comparisons, (0.0, 0.4, 5), thetas)
+    assert len(tables) == len(thetas)
+    for theta, table in zip(thetas, tables):
+        alone = sweep_w1(svs_spec(), comparisons, (0.0, 0.4, 5), theta)
+        assert np.array_equal(table.parameter_values, alone.parameter_values)
+        assert [label for label, _ in table.columns] == [label for label, _ in alone.columns]
+        for (_, col), (_, ref) in zip(table.columns, alone.columns, strict=True):
+            assert np.array_equal(col, ref, equal_nan=True)
+        assert math.isnan(table.columns[1][1][0])  # no subtracted state at r = 0
+
+
 def test_sweep_rejects_mixed_parameters():
     with pytest.raises(ValidationError):
         sweep_w1(svs_spec(), [ecs_spec()], (0.3, 0.8, 5), 0.0)
@@ -171,6 +185,19 @@ def test_no_crossover_for_subtracted_states():
     res = find_crossover(w1_curve(svs_spec(), svs_spec(m=-1)),
                          w1_curve(svs_spec(), svs_spec(m=-2)), (0.30, 0.80), 0.0)
     assert not res.found and res.location is None
+
+
+def test_w1_curve_reusing_tables_equals_fresh_pairs():
+    curve = w1_curve(svs_spec(), svs_spec(m=3))
+    ps = list(np.linspace(0.50, 0.56, 13))
+    walk = ps + ps[::-1]
+    grids = [auto_grid(build_state(svs_spec(p))).union(auto_grid(build_state(svs_spec(p, 3))))
+             for p in walk]
+    same = [g == h for g, h in zip(grids, grids[1:])]
+    assert any(same) and not all(same)  # reuses tables and crosses cutoff changes
+    for i, p in enumerate(walk):
+        theta = 0.0 if i % 2 else math.pi / 7
+        assert curve(p, theta) == w1_states(svs_spec(p), svs_spec(p, 3), theta)
 
 
 def written_out_find_crossover(curve_a, curve_b, bracket, theta, scan_points=64,
@@ -220,6 +247,11 @@ def test_crossover_rejects_non_positive_or_nan_param_tol():
             find_crossover(curve_a, curve_b, (0.0, 1.0), 0.0, param_tol=tol)
     with pytest.raises(ValidationError):
         find_crossover(curve_a, curve_b, (0.0, 1.0), 0.0, max_iter=0)
+    for tol in (math.nan, -1.0):
+        with pytest.raises(ValidationError):
+            find_crossover(curve_a, curve_b, (0.0, 1.0), 0.0, residual_tol=tol)
+    res = find_crossover(curve_a, curve_b, (0.0, 1.0), 0.0, residual_tol=math.inf)
+    assert res.found and res.location == pytest.approx(0.5, abs=1e-4)
 
 
 def test_crossover_json_record():
@@ -256,9 +288,10 @@ def test_equal_mean_parameter_generic():
         equal_mean_parameter(ocs_spec(), math.nan)
 
 
-@pytest.mark.parametrize("r", [math.inf, math.nan, 800.0, 5.0, -0.1])
+@pytest.mark.parametrize("r", [math.inf, math.nan, 800.0, 5.0, 4.0, -0.1])
 def test_equal_mean_alpha_rejects_unreachable_r(r):
-    # 800 overflows sinh; 5.0 needs |alpha| ~ 74 > 64; inf must not loop forever
+    # 800 overflows sinh; 5.0 and 4.0 need |alpha| ~ 74 and ~ 27, past the
+    # cat bound |alpha| <= 12; inf must not loop forever
     with pytest.raises(ValidationError):
         equal_mean_alpha(r)
 
@@ -272,6 +305,16 @@ def test_w1_empirical_basics():
     assert w1_empirical(a, a) == 0.0
     with pytest.raises(EmptySamples):
         w1_empirical([1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("a,b", [([0.0, math.nan, 1.0], [0.0, 1.0, 2.0]),
+                                 ([0.0, math.inf], [0.0, 1.0]),
+                                 ([0.0, 1.0], [-math.inf, 0.0, 1.0])])
+def test_w1_empirical_rejects_non_finite_samples(a, b):
+    with pytest.raises(ValidationError):
+        w1_empirical(a, b)
+    with pytest.raises(ValidationError):
+        w1_empirical(b, a)
 
 
 @given(st.lists(st.integers(-1024, 1024), min_size=2, max_size=64),
