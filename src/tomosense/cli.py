@@ -264,13 +264,11 @@ def _handle_slice(cfg: dict) -> bytes:
 
 
 def _handle_tomogram(cfg: dict) -> bytes:
+    if cfg["format"] not in ("csv", "pgm"):
+        raise ValidationError(f"tomogram format must be csv or pgm, got {cfg['format']!r}")
     v = build_state(_state_spec(cfg))
     tg = tomogram(v, cfg["theta-count"], _grid_for(cfg, [v]))
-    if cfg["format"] == "pgm":
-        return tomogram_pgm(tg)
-    if cfg["format"] == "csv":
-        return tomogram_csv(tg).encode()
-    raise ValidationError(f"tomogram format must be csv or pgm, got {cfg['format']!r}")
+    return tomogram_pgm(tg) if cfg["format"] == "pgm" else tomogram_csv(tg).encode()
 
 
 def _handle_w1(cfg: dict) -> bytes:
@@ -319,13 +317,11 @@ def _handle_crossover(cfg: dict) -> bytes:
 
 
 def _handle_sample(cfg: dict) -> bytes:
+    if cfg["format"] not in ("csv", "bin"):
+        raise ValidationError(f"sample format must be csv or bin, got {cfg['format']!r}")
     v = build_state(_state_spec(cfg))
     record = sample_quadrature(v, cfg["theta"], cfg["shots"], cfg["seed"])
-    if cfg["format"] == "bin":
-        return record_bytes(record)
-    if cfg["format"] == "csv":
-        return record_csv(record).encode()
-    raise ValidationError(f"sample format must be csv or bin, got {cfg['format']!r}")
+    return record_bytes(record) if cfg["format"] == "bin" else record_csv(record).encode()
 
 
 def _handle_empirical_crossover(cfg: dict) -> bytes:

@@ -35,6 +35,7 @@ from .tomography import auto_grid, pdf_slice
 from .transport import CrossoverResult, _scan_and_bisect, w1_empirical
 
 SAMPLING_GRID_POINTS = 8192
+MAX_SHOTS = 10**8  # 0.8 GB of float64 outcomes per record, before any sort or CSV text
 
 PairBuilder = Callable[[float], tuple[StateSpec, StateSpec]]
 
@@ -124,8 +125,8 @@ def sample_quadrature(v: FockVector, theta: float, shots: int, seed: int) -> Mea
     evaluated in ascending-uniform order and the outcomes are returned in
     shot order.
     """
-    if shots < 1:
-        raise ValidationError("shots must be >= 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValidationError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
     inverse, lo, hi = _inverse_cdf(v, theta)
     u = _uniforms(lo, hi, shots, seed)
     order = np.argsort(u)
@@ -175,8 +176,8 @@ def empirical_crossover(pairs: tuple[PairBuilder, PairBuilder], theta: float,
     ``2**k * 2 * param_tol`` wide gets one more halving than a stop at
     ``half <= param_tol`` would give.
     """
-    if shots < 2:
-        raise ValidationError("shots must be >= 2")
+    if not 2 <= shots <= MAX_SHOTS:
+        raise ValidationError(f"shots must be in [2, {MAX_SHOTS}], got {shots}")
     counter = 0
 
     def h(p: float) -> float:
@@ -215,10 +216,8 @@ def state_pair(reference: StateSpec, comparison: StateSpec) -> PairBuilder:
 
 def record_csv(record: MeasurementRecord) -> str:
     """CSV text with header ``theta,x``, one row per shot, 17 digits."""
-    ts = f"{record.theta:.17g}"
-    lines = ["theta,x"]
-    lines.extend(f"{ts},{x:.17g}" for x in record.samples)
-    return "\n".join(lines) + "\n"
+    template = "theta,x\n" + f"{record.theta:.17g},%.17g\n" * record.shots
+    return template % tuple(record.samples.tolist())
 
 
 def record_bytes(record: MeasurementRecord) -> bytes:

@@ -338,13 +338,16 @@ def count_interior_zeros(v: FockVector, theta: float, grid: QuadratureGrid,
 # ---------------------------------------------------------------------------
 
 def tomogram_csv(tg: Tomogram) -> str:
-    """CSV text with header ``theta,x,w``, row-major theta then x, 17 digits."""
-    xs = tg.x_grid.points()
-    lines = ["theta,x,w"]
-    for theta, row in zip(tg.theta_grid, tg.values):
-        ts = f"{theta:.17g}"
-        lines.extend(f"{ts},{x:.17g},{w:.17g}" for x, w in zip(xs, row))
-    return "\n".join(lines) + "\n"
+    """CSV text with header ``theta,x,w``, row-major theta then x, 17 digits.
+
+    The x column is formatted once into ``",x,%.17g\\n"`` cells; joined by a
+    row's theta text they make that row's template, which ``%`` fills from
+    the row (``'%.17g' % v == f"{v:.17g}"`` for every double).
+    """
+    cells = [""] + [f",{x:.17g},%.17g\n" for x in tg.x_grid.points()]
+    rows = [f"{theta:.17g}".join(cells) % tuple(row.tolist())
+            for theta, row in zip(tg.theta_grid.tolist(), tg.values)]
+    return "".join(["theta,x,w\n"] + rows)
 
 
 def tomogram_pgm(tg: Tomogram) -> bytes:

@@ -321,16 +321,25 @@ def equal_mean_parameter(template: StateSpec, target_nbar: float) -> float:
     return _invert_increasing(nbar, target_nbar, lo)
 
 
+def _ascending(a: np.ndarray) -> np.ndarray:
+    """``a`` if it is non-decreasing, else a sorted copy (``nan`` sorts last)."""
+    return a if np.all(a[1:] >= a[:-1]) else np.sort(a)
+
+
 def w1_empirical(samples_a, samples_b) -> float:
     """W1 between two empirical sample sets.
 
     Equal-size inputs use the order-statistics form, the mean absolute
     difference of sorted samples.  Unequal sizes fall back to the exact
     integral of the absolute difference of the two step CDFs.  Samples must
-    be finite.
+    be 1-D and finite.  An input already in non-decreasing order (a record from
+    ``empirical_crossover``) is used as it is; sorting it would return the
+    same values.  The inputs are never modified.
     """
-    a = np.sort(np.asarray(samples_a, dtype=float))
-    b = np.sort(np.asarray(samples_b, dtype=float))
+    a, b = np.asarray(samples_a, dtype=float), np.asarray(samples_b, dtype=float)
+    if a.ndim != 1 or b.ndim != 1:
+        raise ValidationError(f"samples must be 1-D, got {a.ndim}-D and {b.ndim}-D")
+    a, b = _ascending(a), _ascending(b)
     if len(a) < 2 or len(b) < 2:
         raise EmptySamples(f"need at least 2 samples per side, got {len(a)} and {len(b)}")
     if not (np.isfinite(a[[0, -1]]).all() and np.isfinite(b[[0, -1]]).all()):

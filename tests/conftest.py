@@ -1,7 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from tomosense.states import CatParams, SqueezeParams, StateSpec
+
+
+# doubles whose 17-digit text is easiest to get wrong: signed zeros, the
+# smallest and largest subnormals, the largest finite values, nan and inf
+EDGE_DOUBLES = (-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf)
+doubles = st.one_of(st.sampled_from(EDGE_DOUBLES), st.floats())
 
 
 def svs_spec(r=0.5, m=0, phi=0.0, tail_tol=1e-12):

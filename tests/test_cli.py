@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from tomosense import cli, homodyne
 from tomosense.cli import main, parse_theta
 from tomosense.errors import ValidationError
 from tomosense.states import SqueezeParams, normalization_constant
@@ -187,6 +188,33 @@ def test_bad_config_values_and_seeds_exit_2(tmp_path, capsys):
     assert not out.exists()
     assert run_cli("sample", "--shots", 10, "--seed", 2**64 - 1, "--format", "bin",
                    "--out", out) == 0
+
+
+def test_bad_format_exits_2_before_any_computation(tmp_path, monkeypatch, capsys):
+    def no_state(*args):
+        raise AssertionError("state built for a bad --format")
+
+    monkeypatch.setattr(cli, "build_state", no_state)
+    out = tmp_path / "x.out"
+    assert run_cli("tomogram", "--format", "xyz", "--out", out) == 2
+    assert "format" in capsys.readouterr().err
+    assert run_cli("sample", "--format", "pgm", "--out", out) == 2
+    assert "format" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shots_above_bound_exit_2_without_sampling(tmp_path, monkeypatch, capsys):
+    def no_uniforms(*args):
+        raise AssertionError("uniforms drawn for an invalid shot count")
+
+    monkeypatch.setattr(homodyne, "_uniforms", no_uniforms)
+    out = tmp_path / "x.out"
+    shots = homodyne.MAX_SHOTS + 1
+    assert run_cli("sample", "--shots", shots, "--out", out) == 2
+    assert "shots" in capsys.readouterr().err
+    assert run_cli("empirical-crossover", "--shots", shots, "--out", out) == 2
+    assert "shots" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def strict_json(text):

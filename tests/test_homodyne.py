@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 from scipy.stats import chi2_contingency
 
 from tomosense.errors import MultipleRootsWarning, ValidationError
+from tomosense import homodyne
 from tomosense.homodyne import (
     SAMPLING_GRID_POINTS,
     MeasurementRecord,
+    MAX_SHOTS,
     _child_seed,
     empirical_crossover,
     histogram_tomogram,
@@ -23,7 +27,7 @@ from tomosense.transport import CrossoverResult
 from tomosense.tomography import auto_grid, pdf_slice
 from tomosense.transport import w1_cdf, w1_empirical
 
-from conftest import svs_spec
+from conftest import EDGE_DOUBLES, doubles, svs_spec
 
 VAC_SVS_05 = 0.22199130323553978
 
@@ -126,9 +130,18 @@ def test_empirical_crossover_matches_shot_order_sampling():
     assert new == shot_order_crossover(pairs, 0.0, (0.30, 0.60), 10**4, 2024, 12)
 
 
-def test_shots_validation():
-    with pytest.raises(ValidationError):
-        sample_quadrature(vacuum(), 0.0, 0, 1)
+def test_shots_validation(monkeypatch):
+    def no_uniforms(*args):
+        raise AssertionError("uniforms drawn for an invalid shot count")
+
+    monkeypatch.setattr(homodyne, "_uniforms", no_uniforms)
+    pairs = (state_pair(svs_spec(), svs_spec(m=1)), state_pair(svs_spec(), svs_spec(m=2)))
+    for shots in (0, MAX_SHOTS + 1):
+        with pytest.raises(ValidationError):
+            sample_quadrature(vacuum(), 0.0, shots, 1)
+    for shots in (1, MAX_SHOTS + 1):
+        with pytest.raises(ValidationError):
+            empirical_crossover(pairs, 0.0, (0.30, 0.60), shots, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +259,29 @@ def test_empirical_crossover_near_exact_location():
 def test_record_csv_format():
     rec = MeasurementRecord(0.5, np.array([1.0, -2.25]), 3, 2)
     assert record_csv(rec) == "theta,x\n0.5,1\n0.5,-2.25\n"
+
+
+def per_line_record_csv(record):
+    """Reference copy of the one-f-string-per-shot CSV formatter."""
+    ts = f"{record.theta:.17g}"
+    lines = ["theta,x"]
+    lines.extend(f"{ts},{x:.17g}" for x in record.samples)
+    return "\n".join(lines) + "\n"
+
+
+@given(doubles, st.lists(doubles, max_size=200))
+@example(0.5, list(EDGE_DOUBLES))
+@example(-0.0, [])
+@settings(max_examples=100, deadline=None)
+def test_record_csv_matches_per_line_formatting(theta, samples):
+    rec = MeasurementRecord(theta, np.array(samples, dtype=float), 3, len(samples))
+    assert record_csv(rec) == per_line_record_csv(rec)
+
+
+def test_record_csv_of_header_only_blob():
+    rec = record_from_bytes(record_bytes(MeasurementRecord(0.25, np.empty(0), 7, 0)))
+    assert rec.shots == 0
+    assert record_csv(rec) == per_line_record_csv(rec) == "theta,x\n"
 
 
 def test_record_binary_roundtrip():

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_hermite, factorial
 
 from tomosense.errors import GridTooNarrow, ValidationError
 from tomosense.states import CatParams, SqueezeParams, build_cat_family, build_svs_family
 from tomosense.tomography import (
     HermiteTables,
+    Tomogram,
     QuadratureGrid,
     auto_grid,
     count_interior_zeros,
@@ -19,6 +22,8 @@ from tomosense.tomography import (
     tomogram_csv,
     tomogram_pgm,
 )
+
+from conftest import EDGE_DOUBLES, doubles
 
 
 def vacuum():
@@ -337,6 +342,39 @@ def test_tomogram_csv_roundtrip():
     assert float(theta) == tg.theta_grid[0]
     assert float(x) == tg.x_grid.points()[0]
     assert float(w) == tg.values[0, 0]  # 17 significant digits round-trip
+
+
+def per_line_tomogram_csv(tg):
+    """Reference copy of the one-f-string-per-cell CSV formatter."""
+    xs = tg.x_grid.points()
+    lines = ["theta,x,w"]
+    for theta, row in zip(tg.theta_grid, tg.values):
+        ts = f"{theta:.17g}"
+        lines.extend(f"{ts},{x:.17g},{w:.17g}" for x, w in zip(xs, row))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def raw_tomograms(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(64, 80))
+    x_max = draw(st.sampled_from([5e-324, 1e-300, 8.0, 1e300]) | st.floats(1e-3, 1e3))
+    thetas = draw(st.lists(doubles, min_size=rows, max_size=rows))
+    cells = draw(st.lists(doubles, min_size=rows * cols, max_size=rows * cols))
+    cells[:len(EDGE_DOUBLES)] = EDGE_DOUBLES
+    return Tomogram(np.array(thetas), QuadratureGrid(-x_max, x_max, cols),
+                    np.array(cells).reshape(rows, cols))
+
+
+@given(raw_tomograms())
+@settings(max_examples=50, deadline=None)
+def test_tomogram_csv_matches_per_line_formatting(tg):
+    assert tomogram_csv(tg) == per_line_tomogram_csv(tg)
+
+
+def test_tomogram_csv_odd_theta_count_matches_per_line_formatting():
+    v = build_cat_family("even", CatParams(1.2 + 0.7j), 1)
+    tg = tomogram(v, 33, auto_grid(v, n_points=96))
+    assert tomogram_csv(tg) == per_line_tomogram_csv(tg)
 
 
 def test_tomogram_pgm_structure(default_r):

@@ -327,6 +327,34 @@ def test_w1_empirical_translation_exact(values, shift):
     assert w1_empirical(a, a + c) == abs(c)
 
 
+@pytest.mark.parametrize("a", [1.0, [[0.0, 1.0], [2.0, 3.0]]])
+def test_w1_empirical_rejects_non_1d_samples(a):
+    with pytest.raises(ValidationError):
+        w1_empirical(a, [0.0, 1.0])
+    with pytest.raises(ValidationError):
+        w1_empirical([0.0, 1.0], a)
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=64),
+       st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=64),
+       st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_w1_empirical_ignores_input_order(a, b, equal_size, rnd):
+    if equal_size:
+        b = (b * len(a))[:len(a)]
+    a_sorted, b_sorted = np.sort(a), np.sort(b)
+    expected = w1_empirical(a_sorted, b_sorted)
+    shuffled_a, shuffled_b = list(a), list(b)
+    rnd.shuffle(shuffled_a)
+    rnd.shuffle(shuffled_b)
+    for x, y in [(a_sorted[::-1], b_sorted[::-1]), (a_sorted, b_sorted[::-1]),
+                 (np.array(shuffled_a), np.array(shuffled_b))]:
+        x_before, y_before = x.copy(), y.copy()
+        assert w1_empirical(x, y) == expected
+        assert np.array_equal(x, x_before) and np.array_equal(y, y_before)
+    assert np.array_equal(a_sorted, np.sort(a)) and np.array_equal(b_sorted, np.sort(b))
+
+
 def test_w1_empirical_unequal_counts_matches_scipy():
     rng = np.random.default_rng(3)
     a, b = rng.normal(size=501), rng.normal(loc=0.3, size=307)
