@@ -207,14 +207,11 @@ def _state_spec(cfg: dict, prefix: str = "") -> StateSpec:
     return StateSpec(family, params, m, tail)
 
 
-def _grid_for(cfg: dict, vectors) -> QuadratureGrid:
+def _grid_for(cfg: dict, v) -> QuadratureGrid:
     if cfg.get("grid-halfwidth") is not None:
         return QuadratureGrid(-cfg["grid-halfwidth"], cfg["grid-halfwidth"],
                               cfg["grid-points"])
-    grid = auto_grid(vectors[0], n_points=cfg["grid-points"])
-    for v in vectors[1:]:
-        grid = grid.union(auto_grid(v, n_points=cfg["grid-points"]))
-    return grid
+    return auto_grid(v, n_points=cfg["grid-points"])
 
 
 def _parse_delta(token: str) -> int:
@@ -254,7 +251,7 @@ def _handle_observables(cfg: dict) -> bytes:
 
 def _handle_slice(cfg: dict) -> bytes:
     v = build_state(_state_spec(cfg))
-    sl = pdf_slice(v, cfg["theta"], _grid_for(cfg, [v]))
+    sl = pdf_slice(v, cfg["theta"], _grid_for(cfg, v))
     lines = ["x,pdf,cdf"]
     lines.extend(
         f"{x:.17g},{p:.17g},{c:.17g}"
@@ -267,7 +264,7 @@ def _handle_tomogram(cfg: dict) -> bytes:
     if cfg["format"] not in ("csv", "pgm"):
         raise ValidationError(f"tomogram format must be csv or pgm, got {cfg['format']!r}")
     v = build_state(_state_spec(cfg))
-    tg = tomogram(v, cfg["theta-count"], _grid_for(cfg, [v]))
+    tg = tomogram(v, cfg["theta-count"], _grid_for(cfg, v))
     return tomogram_pgm(tg) if cfg["format"] == "pgm" else tomogram_csv(tg).encode()
 
 
@@ -357,77 +354,6 @@ SUBTRACTED_THETAS = [("0", "0"), ("pi100", "pi/100"), ("pi75", "pi/75"), ("pi50"
                      ("pi35", "pi/35"), ("pi20", "pi/20"), ("pi4", "pi/4"), ("pi2", "pi/2")]
 
 
-def _reproduce_jobs(cfg: dict) -> list[tuple[str, str, dict]]:
-    """(filename, subcommand, sub-config) triples covering the standard set."""
-    steps, points, tail = cfg["steps"], cfg["grid-points"], cfg["tail-tol"]
-
-    def svs_sweep(theta, compare):
-        return {"family": "svs", "r": R_DEFAULT, "phi": 0.0, "alpha-re": 1.8,
-                "alpha-im": 0.0, "m": 0, "tail-tol": tail, "compare": compare,
-                "lo": 0.3, "hi": 0.8, "steps": steps, "theta": parse_theta(theta),
-                "grid-points": points}
-
-    jobs = []
-    for tag, theta in ADDED_THETAS:
-        jobs.append((f"w1_added_theta_{tag}.csv", "sweep", svs_sweep(theta, "1,2,3")))
-    for tag, theta in SUBTRACTED_THETAS:
-        jobs.append((f"w1_subtracted_theta_{tag}.csv", "sweep",
-                     svs_sweep(theta, "-1,-2,-3")))
-    ecs_sweep = svs_sweep("pi/2", "1,2")
-    ecs_sweep.update({"family": "cat-even", "lo": 1.5, "hi": 2.5})
-    jobs.append(("w1_ecs_added.csv", "sweep", ecs_sweep))
-
-    def crossover_job(pair, lo, hi, theta, family="svs"):
-        job = svs_sweep(theta, "")
-        job.pop("compare")
-        job.pop("steps")
-        job.update({"family": family, "pair": pair, "lo": lo, "hi": hi,
-                    "scan-points": 64})
-        return job
-
-    jobs.append(("crossover_added_1v2.json", "crossover",
-                 crossover_job("add1:add2", 0.30, 0.60, "0")))
-    jobs.append(("crossover_added_1v3.json", "crossover",
-                 crossover_job("add1:add3", 0.45, 0.75, "0")))
-    jobs.append(("crossover_ecs_1v2.json", "crossover",
-                 crossover_job("add1:add2", 1.5, 2.5, "pi/2", family="cat-even")))
-
-    for label, family, m in [("svs", "svs", 0), ("svs_add1", "svs", 1),
-                             ("svs_add2", "svs", 2), ("svs_add3", "svs", 3),
-                             ("svs_sub2", "svs", -2), ("svs_sub3", "svs", -3),
-                             ("ecs", "cat-even", 0), ("ecs_add1", "cat-even", 1),
-                             ("ecs_add2", "cat-even", 2)]:
-        jobs.append((f"tomogram_{label}.pgm", "tomogram",
-                     {"family": family, "r": R_DEFAULT, "phi": 0.0, "alpha-re": 1.8,
-                      "alpha-im": 0.0, "m": m, "tail-tol": tail,
-                      "grid-halfwidth": None, "grid-points": points,
-                      "theta-count": cfg["theta-count"], "format": "pgm"}))
-
-    if cfg["empirical"]:
-        job = crossover_job("add1:add2", 0.30, 0.60, "0")
-        job.update({"shots": cfg["shots"], "seed": cfg["seed"]})
-        jobs.append(("empirical_crossover_added_1v2.json", "empirical-crossover", job))
-    return jobs
-
-
-def _reproduce_sweeps(jobs) -> dict[str, SweepTable]:
-    """Table of every sweep job by filename, one multi-angle sweep per panel set.
-
-    Jobs that differ only in their angle form one set; each table equals the
-    one ``_handle_sweep`` would compute from its job's configuration.
-    """
-    panels: dict[tuple, list[tuple[str, dict]]] = {}
-    for filename, subcommand, sub_cfg in jobs:
-        if subcommand == "sweep":
-            key = tuple(sorted((k, v) for k, v in sub_cfg.items() if k != "theta"))
-            panels.setdefault(key, []).append((filename, sub_cfg))
-    tables = {}
-    for members in panels.values():
-        sweeps = _sweep_tables(members[0][1], [sub_cfg["theta"] for _, sub_cfg in members])
-        tables.update((filename, table) for (filename, _), table in zip(members, sweeps))
-    return tables
-
-
 def _reproduce_tables(cfg: dict, added_theta_0: SweepTable) -> list[tuple[str, bytes]]:
     """Summary tables that are not single-subcommand products.
 
@@ -438,10 +364,10 @@ def _reproduce_tables(cfg: dict, added_theta_0: SweepTable) -> list[tuple[str, b
     steps, points, tail = cfg["steps"], cfg["grid-points"], cfg["tail-tol"]
     rs = np.linspace(0.3, 0.8, steps)
     svs = lambda m: StateSpec("svs", SqueezeParams(R_DEFAULT), m, tail)  # noqa: E731
+    vecs = {m: [build_state(svs(m).with_parameter(r)) for r in rs] for m in range(4)}
 
     outputs = []
-    nbar = {m: np.array([mean_photon_number(build_state(svs(m).with_parameter(r)))
-                         for r in rs]) for m in range(4)}
+    nbar = {m: np.array([mean_photon_number(v) for v in vecs[m]]) for m in range(4)}
     outputs.append(("mean_photon_vs_r.csv", sweep_csv(SweepTable(
         "r", rs, [(f"nbar_m{m}", nbar[m]) for m in range(4)])).encode()))
 
@@ -452,8 +378,7 @@ def _reproduce_tables(cfg: dict, added_theta_0: SweepTable) -> list[tuple[str, b
 
     var_cols, kappas = [], {}
     for m in (0, 1, 2):
-        var = np.array([quadrature_variance(build_state(svs(m).with_parameter(r)), 0.0)
-                        for r in rs])
+        var = np.array([quadrature_variance(v, 0.0) for v in vecs[m]])
         var_cols.append((f"var_m{m}", var))
         kappas[f"m{m}"] = float(-np.polyfit(rs, np.log(var), 1)[0])
     outputs.append(("variance_vs_r.csv", sweep_csv(SweepTable("r", rs, var_cols)).encode()))
@@ -484,23 +409,71 @@ def _reproduce_tables(cfg: dict, added_theta_0: SweepTable) -> list[tuple[str, b
 
 
 def _handle_reproduce(cfg: dict) -> int:
-    outdir = cfg["outdir"]
-    jobs = _reproduce_jobs(cfg)
-    sweeps = _reproduce_sweeps(jobs)
-    for filename, subcommand, sub_cfg in jobs:
+    """Every output of the standard set, each with the ``.meta`` of its subcommand.
+
+    Each sweep panel is one multi-angle sweep; every other output comes from
+    its subcommand's handler, given the sub-config its ``.meta`` records.
+    All payloads are computed before the first file is written, and the
+    stages that check user input (tomogram angles, shots, seed) run first,
+    so bad input fails fast and leaves the output directory untouched.
+    """
+    outdir, steps, points, tail = cfg["outdir"], cfg["steps"], cfg["grid-points"], cfg["tail-tol"]
+    outputs = []  # (path, payload, .meta text)
+
+    def emit(filename, subcommand, sub_cfg, payload):
         path = os.path.join(outdir, filename)
-        sub_cfg = dict(sub_cfg, **{"out": path})
-        if filename in sweeps:
-            payload = sweep_csv(sweeps[filename]).encode()
-        else:
-            payload = HANDLERS[subcommand](sub_cfg)
-        atomic_write(path, payload)
-        atomic_write(path + ".meta", _meta_text(subcommand, sub_cfg).encode())
+        outputs.append((path, payload, _meta_text(subcommand, dict(sub_cfg, out=path))))
+
+    def state(family="svs", m=0):
+        return {"family": family, "r": R_DEFAULT, "phi": 0.0, "alpha-re": 1.8,
+                "alpha-im": 0.0, "m": m, "tail-tol": tail}
+
+    def crossover(family, pair, lo, hi, theta):
+        return {**state(family), "lo": lo, "hi": hi, "theta": parse_theta(theta),
+                "grid-points": points, "pair": pair, "scan-points": 64}
+
+    for label, family, m in [("svs", "svs", 0), ("svs_add1", "svs", 1),
+                             ("svs_add2", "svs", 2), ("svs_add3", "svs", 3),
+                             ("svs_sub2", "svs", -2), ("svs_sub3", "svs", -3),
+                             ("ecs", "cat-even", 0), ("ecs_add1", "cat-even", 1),
+                             ("ecs_add2", "cat-even", 2)]:
+        sub_cfg = {**state(family, m), "grid-halfwidth": None, "grid-points": points,
+                   "theta-count": cfg["theta-count"], "format": "pgm"}
+        emit(f"tomogram_{label}.pgm", "tomogram", sub_cfg, _handle_tomogram(sub_cfg))
+
+    if cfg["empirical"]:
+        sub_cfg = {**crossover("svs", "add1:add2", 0.30, 0.60, "0"),
+                   "shots": cfg["shots"], "seed": cfg["seed"]}
+        emit("empirical_crossover_added_1v2.json", "empirical-crossover", sub_cfg,
+             _handle_empirical_crossover(sub_cfg))
+
+    sweeps = {}
+    for files, family, compare, lo, hi in [
+        ([(f"w1_added_theta_{tag}.csv", t) for tag, t in ADDED_THETAS], "svs", "1,2,3", 0.3, 0.8),
+        ([(f"w1_subtracted_theta_{tag}.csv", t) for tag, t in SUBTRACTED_THETAS],
+         "svs", "-1,-2,-3", 0.3, 0.8),
+        ([("w1_ecs_added.csv", "pi/2")], "cat-even", "1,2", 1.5, 2.5),
+    ]:
+        panel_cfg = {**state(family), "compare": compare, "lo": lo, "hi": hi, "steps": steps,
+                     "theta": None, "grid-points": points}
+        thetas = [parse_theta(text) for _, text in files]
+        for (filename, _), theta, table in zip(files, thetas, _sweep_tables(panel_cfg, thetas)):
+            sweeps[filename] = table
+            emit(filename, "sweep", dict(panel_cfg, theta=theta), sweep_csv(table).encode())
+
+    for filename, sub_cfg in [
+        ("crossover_added_1v2.json", crossover("svs", "add1:add2", 0.30, 0.60, "0")),
+        ("crossover_added_1v3.json", crossover("svs", "add1:add3", 0.45, 0.75, "0")),
+        ("crossover_ecs_1v2.json", crossover("cat-even", "add1:add2", 1.5, 2.5, "pi/2")),
+    ]:
+        emit(filename, "crossover", sub_cfg, _handle_crossover(sub_cfg))
+
+    reproduce_meta = _meta_text("reproduce", cfg)
     for filename, payload in _reproduce_tables(cfg, sweeps["w1_added_theta_0.csv"]):
-        path = os.path.join(outdir, filename)
+        outputs.append((os.path.join(outdir, filename), payload, reproduce_meta))
+    for path, payload, meta in outputs:
         atomic_write(path, payload)
-        atomic_write(path + ".meta",
-                     _meta_text("reproduce", dict(cfg, outdir=outdir)).encode())
+        atomic_write(path + ".meta", meta.encode())
     return 0
 
 

@@ -413,39 +413,21 @@ def build_cat_family(kind: str, p: CatParams, m_add: int = 0,
         return FockVector(amps, m_add, 0.0)
     log_a = math.log(mag)
     arg = cmath.phase(alpha)
+    # term n carries alpha^j / sqrt(j!) with the power j = step * n + start
+    step, start = {"coherent": (1, 0), "odd": (2, 1), "even": (2, 0)}[kind]
 
-    if kind == "coherent":
-        def log_mag(n):
-            return n * log_a - 0.5 * gammaln(n + 1)
+    def log_mag(n):
+        j = step * n + start
+        lm = j * log_a - 0.5 * gammaln(j + 1)
+        if m_add:  # a^dag^m_add |j> = sqrt((j + m_add)! / j!) |j + m_add>
+            lm += 0.5 * math.log(math.prod(range(j + 1, j + m_add + 1)))
+        return lm
 
-        def index(n):
-            return n
+    def index(n):
+        return step * n + start + m_add
 
-        def phase(n):
-            return cmath.exp(1j * n * arg) if arg else 1.0
-    elif kind == "odd":
-        def log_mag(n):
-            return (2 * n + 1) * log_a - 0.5 * gammaln(2 * n + 2)
-
-        def index(n):
-            return 2 * n + 1
-
-        def phase(n):
-            return cmath.exp(1j * (2 * n + 1) * arg) if arg else 1.0
-    else:
-        def log_mag(n):
-            lm = 2 * n * log_a - 0.5 * gammaln(2 * n + 1)
-            if m_add == 1:
-                lm += 0.5 * math.log(2 * n + 1)
-            elif m_add == 2:
-                lm += 0.5 * math.log((2 * n + 2) * (2 * n + 1))
-            return lm
-
-        def index(n):
-            return 2 * n + m_add
-
-        def phase(n):
-            return cmath.exp(1j * 2 * n * arg) if arg else 1.0
+    def phase(n):
+        return cmath.exp(1j * (step * n + start) * arg) if arg else 1.0
 
     what = f"{kind} cat (m_add={m_add}) at |alpha|={mag:g}"
     idx, lm, ph, tail = _run_series(log_mag, index, phase, tail_tol, what)

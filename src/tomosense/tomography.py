@@ -42,6 +42,10 @@ MAX_HERMITE_INDEX = 512
 MAX_ABSCISSA = 50.0
 DEFAULT_GRID_POINTS = 2048
 
+_ROW_NORM_TOL = 1e-8     # |integral of a tomogram row - 1|
+_SYMMETRY_TOL = 1e-10    # |w(x, theta + pi) - w(-x, theta)|
+_ZERO_THRESHOLD = 1e-4   # slice amplitudes below this times the peak are not zeros
+
 # 3-point Gauss-Legendre nodes/weights on [-1, 1]
 _GL_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
 _GL_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
@@ -153,19 +157,16 @@ def _rotated_coefficients(v: FockVector, theta: float) -> np.ndarray:
     return v.amplitudes * np.exp(-1j * theta * n)
 
 
-def auto_grid(v: FockVector, tail_tol: float = 1e-10,
-              n_points: int = DEFAULT_GRID_POINTS) -> QuadratureGrid:
+def auto_grid(v: FockVector, n_points: int = DEFAULT_GRID_POINTS) -> QuadratureGrid:
     """Symmetric grid wide enough that no slice of ``v`` loses measurable mass.
 
     Half-width is the largest of the floor 8, the energy scale
     ``4 sqrt(2<n>+1)``, and the top retained Fock state's classical turning
     point plus a five-unit Gaussian decay margin, ``sqrt(2 N + 1) + 5``.  The
-    last term is what actually guarantees the ``tail_tol`` target for highly
+    last term is what keeps the dropped mass below 1e-10 for highly
     squeezed or photon-added states; without it the anti-squeezed quadrature
     of r ~ 0.8 states leaks ~1e-7 past the energy-scale width.
     """
-    if not (0 < tail_tol < 1):
-        raise ValidationError("tail_tol must be in (0, 1)")
     nbar = mean_photon_number(v)
     half = max(8.0,
                4.0 * math.sqrt(2.0 * nbar + 1.0),
@@ -278,13 +279,12 @@ def _densities(coeffs: list[np.ndarray], psi: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def tomogram(v: FockVector, theta_count: int, grid: QuadratureGrid,
-             check_tolerances: tuple[float, float] = (1e-8, 1e-10)) -> Tomogram:
+def tomogram(v: FockVector, theta_count: int, grid: QuadratureGrid) -> Tomogram:
     """Full tomogram on theta uniform over [0, 2*pi).
 
-    Every row must integrate to 1 within ``check_tolerances[0]`` and the
-    pattern must satisfy w(x, theta+pi) = w(-x, theta) within
-    ``check_tolerances[1]``; both are verified before returning.
+    Every row must integrate to 1 within 1e-8 and the pattern must satisfy
+    w(x, theta+pi) = w(-x, theta) within 1e-10; both are verified before
+    returning.
     """
     if theta_count < 16:
         raise ValidationError(f"theta_count must be >= 16, got {theta_count}")
@@ -293,16 +293,15 @@ def tomogram(v: FockVector, theta_count: int, grid: QuadratureGrid,
     psi = hermite_function(v.cutoff, xs)
     rows = np.array(_densities([_rotated_coefficients(v, theta) for theta in thetas], psi))
 
-    norm_tol, sym_tol = check_tolerances
     norms = np.trapezoid(rows, xs, axis=1)
     worst = float(np.max(np.abs(norms - 1.0)))
-    if worst > norm_tol:
+    if worst > _ROW_NORM_TOL:
         raise GridTooNarrow(f"tomogram row normalization off by {worst:.3e}")
-    _verify_symmetry(v, thetas, rows, psi, sym_tol)
+    _verify_symmetry(v, thetas, rows, psi)
     return Tomogram(thetas, grid, rows)
 
 
-def _verify_symmetry(v, thetas, rows, psi, tol):
+def _verify_symmetry(v, thetas, rows, psi):
     count = len(thetas)
     if count % 2 == 0:
         half = count // 2
@@ -311,25 +310,24 @@ def _verify_symmetry(v, thetas, rows, psi, tol):
         # no theta + pi on the grid; probe a few rows explicitly
         shifted = _densities([_rotated_coefficients(v, t + math.pi) for t in thetas[:3]], psi)
         err = max(float(np.max(np.abs(w - row[::-1]))) for w, row in zip(shifted, rows))
-    if err > tol:
+    if err > _SYMMETRY_TOL:
         raise NumericalError(f"tomogram symmetry w(x, theta+pi) = w(-x, theta) off by {err:.3e}")
 
 
-def count_interior_zeros(v: FockVector, theta: float, grid: QuadratureGrid,
-                         rel_threshold: float = 1e-4) -> int:
+def count_interior_zeros(v: FockVector, theta: float, grid: QuadratureGrid) -> int:
     """Number of interior zeros of the slice, by amplitude sign changes.
 
     Only meaningful for states whose rotated amplitudes are real up to a
     global phase (all the squeezed/cat families at phi = 0); the global
-    phase is removed before counting.  Values below ``rel_threshold`` times
-    the peak are ignored: past the classical turning points the truncated
+    phase is removed before counting.  Values below 1e-4 times the peak are
+    ignored: past the classical turning points the truncated
     alternating series oscillates at the sqrt(tail_tol) level, which would
     otherwise register as spurious zeros.
     """
     amp = quadrature_amplitude(v, theta, grid.points())
     lead = amp[np.argmax(np.abs(amp))]
     amp = (amp * np.conj(lead / abs(lead))).real
-    amp = amp[np.abs(amp) > rel_threshold * np.max(np.abs(amp))]
+    amp = amp[np.abs(amp) > _ZERO_THRESHOLD * np.max(np.abs(amp))]
     return int(np.sum(np.diff(np.sign(amp)) != 0))
 
 

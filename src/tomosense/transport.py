@@ -138,12 +138,18 @@ def w1_states(spec_a: StateSpec, spec_b: StateSpec, theta: float,
     Both states are evaluated on the union of their automatic grids, so the
     result is symmetric in its arguments.
     """
-    return _w1_pair(build_state(spec_a), build_state(spec_b), theta, n_points)
+    return _w1_pair(build_state(spec_a), build_state(spec_b), [theta], n_points)[0]
 
 
-def _w1_pair(va, vb, theta, n_points, tables: HermiteTables | None = None) -> float:
+def _w1_pair(va, vb, thetas: Sequence[float], n_points: int,
+             tables: HermiteTables | None = None) -> list[float]:
+    """W1 between two states at each of ``thetas`` on the union of their auto grids.
+
+    The one route from a pair of vectors to W1 values: every angle is sliced
+    from one Hermite table per abscissa set, taken from ``tables`` if given.
+    """
     grid = auto_grid(va, n_points=n_points).union(auto_grid(vb, n_points=n_points))
-    return w1_cdf(*pdf_slices([va, vb], theta, grid, tables))
+    return [w1_cdf(*pair) for pair in pdf_slices([va, vb], thetas, grid, tables)]
 
 
 def w1_curve(reference: StateSpec, comparison: StateSpec,
@@ -158,8 +164,9 @@ def w1_curve(reference: StateSpec, comparison: StateSpec,
     tables = HermiteTables()
 
     def curve(p: float, theta: float) -> float:
-        return _w1_pair(build_state(reference.with_parameter(p)),
-                        build_state(comparison.with_parameter(p)), theta, n_points, tables)
+        va = build_state(reference.with_parameter(p))
+        vb = build_state(comparison.with_parameter(p))
+        return _w1_pair(va, vb, [theta], n_points, tables)[0]
 
     return curve
 
@@ -197,15 +204,12 @@ def sweep_w1(reference: StateSpec, comparisons: Sequence[StateSpec],
             ref_vec = build_state(reference.with_parameter(p))
         except ValidationError:
             continue
-        ref_grid = auto_grid(ref_vec, n_points=n_points)
         for j, cmp_spec in enumerate(comparisons):
             try:
                 cmp_vec = build_state(cmp_spec.with_parameter(p))
             except ValidationError:
                 continue
-            grid = ref_grid.union(auto_grid(cmp_vec, n_points=n_points))
-            for k, pair in enumerate(pdf_slices([ref_vec, cmp_vec], thetas, grid)):
-                cells[k, j, i] = w1_cdf(*pair)
+            cells[:, j, i] = _w1_pair(ref_vec, cmp_vec, thetas, n_points)
     tables = [SweepTable(swept, values, list(zip(labels, per_theta))) for per_theta in cells]
     return tables[0] if single else tables
 

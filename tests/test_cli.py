@@ -203,6 +203,19 @@ def test_bad_format_exits_2_before_any_computation(tmp_path, monkeypatch, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--shots", homodyne.MAX_SHOTS + 1, "shots"),
+    ("--seed", -1, "seed"),
+    ("--theta-count", 8, "theta_count"),
+])
+def test_reproduce_bad_input_exits_2_before_writing(tmp_path, capsys, flag, value, message):
+    outdir = tmp_path / "run"
+    assert run_cli("reproduce", "--outdir", outdir, "--steps", 2, "--grid-points", 256,
+                   flag, value) == 2
+    assert message in capsys.readouterr().err
+    assert not outdir.exists() or not os.listdir(outdir)
+
+
 def test_shots_above_bound_exit_2_without_sampling(tmp_path, monkeypatch, capsys):
     def no_uniforms(*args):
         raise AssertionError("uniforms drawn for an invalid shot count")
@@ -298,10 +311,17 @@ def test_reproduce_artifact_rerun_from_meta(tmp_path):
     outdir = tmp_path / "run"
     assert run_cli("reproduce", "--outdir", outdir, "--steps", 3, "--theta-count", 16,
                    "--empirical", 0) == 0
-    # rerunning one emitted sweep from its metadata reproduces it byte for byte
-    again = tmp_path / "again.csv"
-    assert run_cli("sweep", "--config", outdir / "w1_added_theta_pi2.csv.meta",
-                   "--out", again) == 0
-    assert again.read_bytes() == (outdir / "w1_added_theta_pi2.csv").read_bytes()
+    # rerunning an emitted output of each kind from its metadata reproduces it
+    # byte for byte: one sweep per panel, every crossover, one tomogram
+    for subcommand, name in [("sweep", "w1_added_theta_pi2.csv"),
+                             ("sweep", "w1_subtracted_theta_pi75.csv"),
+                             ("sweep", "w1_ecs_added.csv"),
+                             ("crossover", "crossover_added_1v2.json"),
+                             ("crossover", "crossover_added_1v3.json"),
+                             ("crossover", "crossover_ecs_1v2.json"),
+                             ("tomogram", "tomogram_svs_sub2.pgm")]:
+        again = tmp_path / f"again_{name}"
+        assert run_cli(subcommand, "--config", outdir / f"{name}.meta", "--out", again) == 0
+        assert again.read_bytes() == (outdir / name).read_bytes(), name
     payload = json.loads((outdir / "kappa_fits.json").read_text())
     assert payload["m0"] == pytest.approx(2.0, abs=1e-6)

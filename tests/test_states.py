@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import gammaln
 
+from tomosense import states
 from tomosense.errors import (
     AnnihilatedToZero,
     SubtractFromVacuum,
@@ -13,6 +16,7 @@ from tomosense.errors import (
     ValidationError,
 )
 from tomosense.states import (
+    DEFAULT_TAIL_TOL,
     CatParams,
     FockVector,
     SqueezeParams,
@@ -327,3 +331,56 @@ def test_every_squeezed_state_is_normalized(r, m, phi):
     v = build_svs_family(SqueezeParams(r, phi), m)
     assert abs(np.sum(v.probabilities) - 1.0) < 1e-12
     assert v.discarded_mass < 1e-12
+
+
+def _cat_with_closures_per_kind(kind, alpha, m_add):
+    """Reference cat builder with one log-magnitude/index/phase closure set per
+    kind; the shared power form in ``build_cat_family`` must match it bit for bit."""
+    log_a, arg = math.log(abs(alpha)), cmath.phase(alpha)
+    if kind == "coherent":
+        def log_mag(n):
+            return n * log_a - 0.5 * gammaln(n + 1)
+
+        def index(n):
+            return n
+
+        def phase(n):
+            return cmath.exp(1j * n * arg) if arg else 1.0
+    elif kind == "odd":
+        def log_mag(n):
+            return (2 * n + 1) * log_a - 0.5 * gammaln(2 * n + 2)
+
+        def index(n):
+            return 2 * n + 1
+
+        def phase(n):
+            return cmath.exp(1j * (2 * n + 1) * arg) if arg else 1.0
+    else:
+        def log_mag(n):
+            lm = 2 * n * log_a - 0.5 * gammaln(2 * n + 1)
+            if m_add == 1:
+                lm += 0.5 * math.log(2 * n + 1)
+            elif m_add == 2:
+                lm += 0.5 * math.log((2 * n + 2) * (2 * n + 1))
+            return lm
+
+        def index(n):
+            return 2 * n + m_add
+
+        def phase(n):
+            return cmath.exp(1j * 2 * n * arg) if arg else 1.0
+
+    idx, lm, ph, tail = states._run_series(log_mag, index, phase, DEFAULT_TAIL_TOL, "cat")
+    return states._finish(idx, lm, ph, tail, states._log_norm_cat(kind, abs(alpha), m_add))
+
+
+def test_cat_power_form_matches_per_kind_closures():
+    cases = [("coherent", 0), ("odd", 0), ("even", 0), ("even", 1), ("even", 2)]
+    for mag in (0.05, 0.3, 1.0, 1.8, 3.7, 7.0, 11.9):
+        for angle in (0.0, 0.7, -2.1, math.pi):
+            alpha = cmath.rect(mag, angle)
+            for kind, m_add in cases:
+                got = build_cat_family(kind, CatParams(alpha), m_add)
+                want = _cat_with_closures_per_kind(kind, CatParams(alpha).alpha, m_add)
+                assert np.array_equal(got.amplitudes, want.amplitudes), (kind, m_add, alpha)
+                assert got.discarded_mass == want.discarded_mass, (kind, m_add, alpha)
