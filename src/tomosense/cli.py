@@ -151,8 +151,18 @@ def read_config(path: str) -> dict:
 
 
 def resolve_config(subcommand: str, flags: dict, config_path: str | None) -> dict:
-    """Merge flag values over config-file values over defaults."""
+    """Merge flag values over config-file values over defaults.
+
+    Every config-file key must be an option of ``subcommand``; the one other
+    key a ``.meta`` holds, ``subcommand``, must name ``subcommand`` itself.
+    """
     file_values = read_config(config_path) if config_path else {}
+    names = {name for name, _, _ in OPTIONS[subcommand]}
+    for key, text in file_values.items():
+        if key == "subcommand" and text != subcommand:
+            raise ValidationError(f"config file is for {text!r}, not {subcommand!r}")
+        if key != "subcommand" and key not in names:
+            raise ValidationError(f"unknown config key {key!r} for {subcommand}")
     resolved = {}
     for name, typ, default in OPTIONS[subcommand]:
         dest = name.replace("-", "_")
@@ -442,8 +452,9 @@ def _handle_reproduce(cfg: dict) -> int:
         emit(f"tomogram_{label}.pgm", "tomogram", sub_cfg, _handle_tomogram(sub_cfg))
 
     if cfg["empirical"]:
-        sub_cfg = {**crossover("svs", "add1:add2", 0.30, 0.60, "0"),
-                   "shots": cfg["shots"], "seed": cfg["seed"]}
+        sub_cfg = crossover("svs", "add1:add2", 0.30, 0.60, "0")
+        del sub_cfg["grid-points"]  # not an option of the sampled search
+        sub_cfg.update(shots=cfg["shots"], seed=cfg["seed"])
         emit("empirical_crossover_added_1v2.json", "empirical-crossover", sub_cfg,
              _handle_empirical_crossover(sub_cfg))
 

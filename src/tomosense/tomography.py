@@ -23,8 +23,10 @@ sets), built once at the largest cutoff: row ``n`` of the recurrence does not
 depend on how many rows follow it, so each state reads the exact rows
 ``psi[:cutoff+1]`` it would have computed alone, and the angle enters only
 through the coefficients.  A one-off call keeps one table alive at a time; a
-``HermiteTables`` holder passed in by the caller keeps the four tables of the
-last grid it sliced, so later calls on that grid reuse them.
+``HermiteTables`` holder passed in by the caller builds the four tables of a
+grid with one recurrence over the concatenated abscissae (each column depends
+only on its own abscissa, so every value is the per-set one) and keeps them
+for later calls on that grid.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .states import FockVector, mean_photon_number
 MAX_HERMITE_INDEX = 512
 MAX_ABSCISSA = 50.0
 DEFAULT_GRID_POINTS = 2048
+MAX_GRID_POINTS = 2**15  # held table at the capped cutoff: 513 x 4 x 2**15 x 8 B = 0.54 GB
+MAX_THETA_COUNT = 4 * MAX_HERMITE_INDEX  # a 2048 x 2**15 tomogram is no larger
 
 _ROW_NORM_TOL = 1e-8     # |integral of a tomogram row - 1|
 _SYMMETRY_TOL = 1e-10    # |w(x, theta + pi) - w(-x, theta)|
@@ -60,8 +64,9 @@ class QuadratureGrid:
     n_points: int
 
     def __post_init__(self):
-        if self.n_points < 64:
-            raise ValidationError(f"n_points must be >= 64, got {self.n_points}")
+        if not 64 <= self.n_points <= MAX_GRID_POINTS:
+            raise ValidationError(
+                f"n_points must be in [64, {MAX_GRID_POINTS}], got {self.n_points}")
         if not (self.x_max > 0 and self.x_min == -self.x_max):
             raise ValidationError("grid must be symmetric: x_max > 0 and x_min == -x_max")
 
@@ -200,19 +205,18 @@ def pdf_slices(vectors: Sequence[FockVector], theta: float | Sequence[float],
     thetas = [theta] if single else list(theta)
     n_max = max(v.cutoff for v in vectors)
     coeffs = [[_rotated_coefficients(v, t) for v in vectors] for t in thetas]
+    sets = _abscissae(grid)
+    held = None if tables is None else tables.get(grid, n_max)
 
-    def densities(key, x):
-        psi = hermite_function(n_max, x) if tables is None else tables.get(grid, key, n_max, x)
+    def densities(key):
+        psi = hermite_function(n_max, sets[key]) if held is None else held[key]
         return [_densities(c, psi) for c in coeffs]
 
-    xs = grid.points()
-    pdfs = densities(0, xs)
-
+    pdfs = densities(0)
     h = grid.spacing
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    increments = [[np.zeros(len(xs) - 1) for _ in vectors] for _ in thetas]
-    for key, (node, weight) in enumerate(zip(_GL_NODES, _GL_WEIGHTS), start=1):
-        for incs, dens in zip(increments, densities(key, mids + 0.5 * h * node)):
+    increments = [[np.zeros(grid.n_points - 1) for _ in vectors] for _ in thetas]
+    for key, weight in enumerate(_GL_WEIGHTS, start=1):
+        for incs, dens in zip(increments, densities(key)):
             for inc, density in zip(incs, dens):
                 inc += weight * density
 
@@ -232,30 +236,39 @@ def pdf_slices(vectors: Sequence[FockVector], theta: float | Sequence[float],
     return per_theta[0] if single else per_theta
 
 
+def _abscissae(grid: QuadratureGrid) -> list[np.ndarray]:
+    """The grid points, then the three Gauss-Legendre node sets of its cells."""
+    xs = grid.points()
+    h = grid.spacing
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    return [xs] + [mids + 0.5 * h * node for node in _GL_NODES]
+
+
 class HermiteTables:
     """Hermite tables of the last grid sliced through this holder, for reuse.
 
     ``pdf_slices(..., tables=holder)`` takes its table for each abscissa set
-    (key 0 for the grid points, 1-3 for the Gauss-Legendre node sets) from
-    here.  A call on another grid drops the held tables before building new
-    ones, and a call that needs more rows rebuilds that table at its cutoff;
-    since rows are prefix-stable, reuse changes no value.  The tables live as
-    long as the holder.
+    (block 0 for the grid points, 1-3 for the Gauss-Legendre node sets) from
+    here.  The four are column blocks of one ``hermite_function`` call over
+    the concatenated abscissae; a column depends only on its own abscissa,
+    so each block equals the per-set table bit for bit.  A call on another
+    grid, or one that needs more rows, drops the held table before building
+    the new one; since rows are prefix-stable, reuse changes no value.  The
+    table lives as long as the holder.
     """
 
     def __init__(self):
         self._grid = None
-        self._tables = {}
+        self._blocks = []
 
-    def get(self, grid: QuadratureGrid, key: int, n_max: int, x: np.ndarray) -> np.ndarray:
-        if grid != self._grid:
-            self._tables.clear()
-            self._grid = grid
-        psi = self._tables.get(key)
-        if psi is None or len(psi) <= n_max:
-            self._tables.pop(key, None)
-            psi = self._tables[key] = hermite_function(n_max, x)
-        return psi
+    def get(self, grid: QuadratureGrid, n_max: int) -> list[np.ndarray]:
+        if grid != self._grid or len(self._blocks[0]) <= n_max:
+            self._grid, self._blocks = None, []  # free the old table first
+            sets = _abscissae(grid)
+            psi = hermite_function(n_max, np.concatenate(sets))
+            bounds = np.cumsum([len(x) for x in sets[:-1]])
+            self._grid, self._blocks = grid, np.split(psi, bounds, axis=1)
+        return self._blocks
 
 
 def _densities(coeffs: list[np.ndarray], psi: np.ndarray) -> list[np.ndarray]:
@@ -286,8 +299,9 @@ def tomogram(v: FockVector, theta_count: int, grid: QuadratureGrid) -> Tomogram:
     w(x, theta+pi) = w(-x, theta) within 1e-10; both are verified before
     returning.
     """
-    if theta_count < 16:
-        raise ValidationError(f"theta_count must be >= 16, got {theta_count}")
+    if not 16 <= theta_count <= MAX_THETA_COUNT:
+        raise ValidationError(
+            f"theta_count must be in [16, {MAX_THETA_COUNT}], got {theta_count}")
     thetas = 2.0 * math.pi * np.arange(theta_count) / theta_count
     xs = grid.points()
     psi = hermite_function(v.cutoff, xs)

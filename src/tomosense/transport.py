@@ -10,7 +10,10 @@ Hermite model of ``F - G`` exactly: nodal values come from the CDFs and
 nodal slopes from the PDFs (the mathematical derivative of a CDF is its
 PDF), and cells with an endpoint sign change are split at the cubic's root.
 That keeps the result within ~1e-9 of the exact integral at the default
-resolution while still consuming only the per-slice samples.
+resolution while still consuming only the per-slice samples.  The roots of
+all split cells of one integral come from one stacked eigensolve of the
+companion matrices ``np.roots`` would build, so each root is the one
+``np.roots`` returns.
 
 The exact and the sampled crossover search share one scan-and-bisect, and
 both equal-mean matchings share one bisection over an increasing map.
@@ -30,6 +33,7 @@ from .errors import EmptySamples, GridMismatch, MultipleRootsWarning, Validation
 from .states import StateSpec, build_state, mean_photon_number
 from .tomography import (
     DEFAULT_GRID_POINTS,
+    MAX_GRID_POINTS,
     DistributionSlice,
     HermiteTables,
     auto_grid,
@@ -97,8 +101,9 @@ def _integrate_abs_difference(u: np.ndarray, du: np.ndarray, h: float) -> float:
 
     Each cell uses the cubic Hermite model c(t) on t in [0, 1].  Cells whose
     endpoint values share a sign contribute |integral of c|; a sign change
-    splits the cell at the cubic's root.  The per-cell data is canonicalized
-    before root finding so swapping the operands gives bit-identical results.
+    splits the cell at the cubic's root.  Swapping the operands negates every
+    coefficient exactly, and each step below is odd or even under negation
+    (IEEE rounding is sign-symmetric), so it gives bit-identical results.
     """
     u0, u1 = u[:-1], u[1:]
     s0, s1 = du[:-1], du[1:]
@@ -110,25 +115,48 @@ def _integrate_abs_difference(u: np.ndarray, du: np.ndarray, h: float) -> float:
     cell = a / 4.0 + b / 3.0 + c / 2.0 + d
     flip = u0 * u1 < 0.0
     total = float(np.sum(np.abs(np.where(flip, 0.0, cell))))
-    for i in np.nonzero(flip)[0]:
-        total += _split_cell(a[i], b[i], c[i], d[i], u0[i], u1[i])
+    for part in _split_cells(a[flip], b[flip], c[flip], d[flip]):
+        total += part
     return total * h
 
 
-def _split_cell(a, b, c, d, u0, u1) -> float:
-    if u0 < u1:  # canonical orientation, so A vs B and B vs A match exactly
-        a, b, c, d = -a, -b, -c, -d
+def _split_cells(a, b, c, d) -> np.ndarray:
+    """|integral| of each sign-changing cell's cubic, split at its root in (0, 1).
+
+    The root is the real root in (0, 1) nearest the secant root, or the
+    secant root if there is none.  Cubic cells (a != 0) are solved together:
+    their companion matrices, built as ``np.roots`` builds them, go through
+    one stacked ``np.linalg.eigvals``, which runs the same LAPACK routine on
+    each.  The few cells with a == 0 keep the per-cell ``np.roots``
+    (quadratic) or ``-d/c`` (linear) route.
+    """
     linear = d / (d - (a + b + c + d))  # root of the secant, always in (0, 1)
-    roots = np.roots([a, b, c, d]) if a != 0.0 or b != 0.0 else np.array([-d / c])
-    inside = [z.real for z in roots if abs(z.imag) < 1e-9 and 0.0 < z.real < 1.0]
-    tau = min(inside, key=lambda t: abs(t - linear)) if inside else linear
+    tau = linear.copy()
+    cubic = a != 0.0
+    if cubic.any():
+        companion = np.zeros((np.count_nonzero(cubic), 3, 3))
+        companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+        companion[:, 0] = -np.stack([b, c, d], axis=1)[cubic] / a[cubic, None]
+        tau[cubic] = _nearest_inside(np.linalg.eigvals(companion), linear[cubic])
+    for i in np.nonzero(~cubic)[0]:
+        roots = np.roots([a[i], b[i], c[i], d[i]]) if b[i] != 0.0 else np.array([-d[i] / c[i]])
+        tau[i] = _nearest_inside(roots[None, :], linear[i:i + 1])[0]
 
     def antideriv(t):
         return ((a * t / 4.0 + b / 3.0) * t + c / 2.0) * t * t + d * t
 
     left = antideriv(tau)
     right = antideriv(1.0) - left
-    return abs(left) + abs(right)
+    return np.abs(left) + np.abs(right)
+
+
+def _nearest_inside(roots: np.ndarray, linear: np.ndarray) -> np.ndarray:
+    """Per row, the first real root in (0, 1) nearest ``linear``, else ``linear``."""
+    re = roots.real
+    inside = (np.abs(roots.imag) < 1e-9) & (0.0 < re) & (re < 1.0)
+    dist = np.where(inside, np.abs(re - linear[:, None]), np.inf)
+    best = re[np.arange(len(re)), np.argmin(dist, axis=1)]
+    return np.where(inside.any(axis=1), best, linear)
 
 
 def w1_states(spec_a: StateSpec, spec_b: StateSpec, theta: float,
@@ -138,15 +166,17 @@ def w1_states(spec_a: StateSpec, spec_b: StateSpec, theta: float,
     Both states are evaluated on the union of their automatic grids, so the
     result is symmetric in its arguments.
     """
-    return _w1_pair(build_state(spec_a), build_state(spec_b), [theta], n_points)[0]
+    return _w1_pair(build_state(spec_a), build_state(spec_b), [theta], n_points,
+                    HermiteTables())[0]
 
 
 def _w1_pair(va, vb, thetas: Sequence[float], n_points: int,
-             tables: HermiteTables | None = None) -> list[float]:
+             tables: HermiteTables) -> list[float]:
     """W1 between two states at each of ``thetas`` on the union of their auto grids.
 
     The one route from a pair of vectors to W1 values: every angle is sliced
-    from one Hermite table per abscissa set, taken from ``tables`` if given.
+    from the four Hermite tables ``tables`` holds for the grid, built by one
+    recurrence when the holder has none for it.
     """
     grid = auto_grid(va, n_points=n_points).union(auto_grid(vb, n_points=n_points))
     return [w1_cdf(*pair) for pair in pdf_slices([va, vb], thetas, grid, tables)]
@@ -181,14 +211,15 @@ def sweep_w1(reference: StateSpec, comparisons: Sequence[StateSpec],
     must agree on which one is being swept.  A comparison state that cannot
     be built at some parameter value leaves a NaN cell instead of aborting.
     A sequence of thetas gives one table per theta, each equal to its
-    one-theta sweep; every parameter value then builds its states and
-    Hermite tables once for all angles.
+    one-theta sweep; every parameter value then builds its states once for
+    all angles, and the sweep's one ``HermiteTables`` holder rebuilds its
+    tables only when a pair needs a new grid or more rows.
     """
     lo, hi, steps = parameter_range
     if not (lo < hi):
         raise ValidationError("sweep range needs lo < hi")
-    if steps < 2:
-        raise ValidationError("sweep needs at least 2 steps")
+    if not 2 <= steps <= MAX_GRID_POINTS:
+        raise ValidationError(f"sweep steps must be in [2, {MAX_GRID_POINTS}], got {steps}")
     swept = "r" if reference.family == "svs" else "alpha"
     for spec in comparisons:
         other = "r" if spec.family == "svs" else "alpha"
@@ -199,6 +230,7 @@ def sweep_w1(reference: StateSpec, comparisons: Sequence[StateSpec],
     values = np.linspace(lo, hi, steps)
     labels = [f"{reference.label()}:{c.label()}" for c in comparisons]
     cells = np.full((len(thetas), len(comparisons), steps), np.nan)
+    tables = HermiteTables()
     for i, p in enumerate(values):
         try:
             ref_vec = build_state(reference.with_parameter(p))
@@ -209,9 +241,9 @@ def sweep_w1(reference: StateSpec, comparisons: Sequence[StateSpec],
                 cmp_vec = build_state(cmp_spec.with_parameter(p))
             except ValidationError:
                 continue
-            cells[:, j, i] = _w1_pair(ref_vec, cmp_vec, thetas, n_points)
-    tables = [SweepTable(swept, values, list(zip(labels, per_theta))) for per_theta in cells]
-    return tables[0] if single else tables
+            cells[:, j, i] = _w1_pair(ref_vec, cmp_vec, thetas, n_points, tables)
+    sweeps = [SweepTable(swept, values, list(zip(labels, per_theta))) for per_theta in cells]
+    return sweeps[0] if single else sweeps
 
 
 def find_crossover(curve_a: W1Curve, curve_b: W1Curve, bracket: tuple[float, float],
@@ -242,8 +274,9 @@ def _scan_and_bisect(h: Callable[[float], float], bracket: tuple[float, float],
     lo, hi = bracket
     if not (lo < hi):
         raise ValidationError("bracket needs lo < hi")
-    if scan_points < 2:
-        raise ValidationError("scan needs at least 2 points")
+    if not 2 <= scan_points <= MAX_GRID_POINTS:
+        raise ValidationError(
+            f"scan points must be in [2, {MAX_GRID_POINTS}], got {scan_points}")
     if not (width_tol > 0):
         raise ValidationError("parameter tolerance must be > 0")
     if not (residual_tol >= 0):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from tomosense import cli, homodyne
+from tomosense import cli, homodyne, tomography
 from tomosense.cli import main, parse_theta
 from tomosense.errors import ValidationError
 from tomosense.states import SqueezeParams, normalization_constant
@@ -154,6 +154,22 @@ def test_flags_override_config(tmp_path):
     assert "m=1" in meta                    # config fills what flags leave unset
 
 
+def test_unknown_config_keys_exit_2(tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("famly=cat-odd\nr=0.3\n")
+    assert run_cli("state", "--config", cfg, "--out", out) == 2
+    assert "famly" in capsys.readouterr().err
+    cfg.write_text("subcommand=sweep\nr=0.3\n")
+    assert run_cli("state", "--config", cfg, "--out", out) == 2
+    assert "sweep" in capsys.readouterr().err
+    cfg.write_text("grid-points=2048\n")  # an option of sweep, not of state
+    assert run_cli("state", "--config", cfg, "--out", out) == 2
+    assert not out.exists()
+    cfg.write_text("subcommand=state\nr=0.3\n")
+    assert run_cli("state", "--config", cfg, "--out", out) == 0
+
+
 def test_metadata_rerun_is_byte_identical(tmp_path):
     out1 = tmp_path / "w1.json"
     assert run_cli("w1", "--family", "svs", "--r", 0.37, "--b-family", "svs",
@@ -214,6 +230,28 @@ def test_reproduce_bad_input_exits_2_before_writing(tmp_path, capsys, flag, valu
                    flag, value) == 2
     assert message in capsys.readouterr().err
     assert not outdir.exists() or not os.listdir(outdir)
+
+
+@pytest.mark.parametrize("args,message", [
+    (["slice", "--grid-points", tomography.MAX_GRID_POINTS + 1], "n_points"),
+    (["w1", "--b-m", 1, "--grid-points", tomography.MAX_GRID_POINTS + 1], "n_points"),
+    (["tomogram", "--theta-count", tomography.MAX_THETA_COUNT + 1], "theta_count"),
+    (["sweep", "--steps", tomography.MAX_GRID_POINTS + 1], "steps"),
+    (["crossover", "--scan-points", tomography.MAX_GRID_POINTS + 1], "scan points"),
+    (["empirical-crossover", "--shots", 10, "--scan-points", tomography.MAX_GRID_POINTS + 1],
+     "scan points"),
+    (["reproduce", "--grid-points", tomography.MAX_GRID_POINTS + 1], "n_points"),
+    (["reproduce", "--theta-count", tomography.MAX_THETA_COUNT + 1], "theta_count"),
+])
+def test_sizes_above_bound_exit_2_before_any_table(tmp_path, monkeypatch, capsys, args, message):
+    def no_table(*args):
+        raise AssertionError("Hermite table built for an invalid size")
+
+    monkeypatch.setattr(tomography, "hermite_function", no_table)
+    out = tmp_path / "x.out"
+    assert run_cli(*args, "--outdir" if args[0] == "reproduce" else "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_shots_above_bound_exit_2_without_sampling(tmp_path, monkeypatch, capsys):
@@ -305,6 +343,23 @@ def test_reproduce_and_full_rerun_byte_identical(tmp_path):
     assert run_cli("reproduce", "--outdir", dir2, *REPRODUCE_ARGS) == 0
     for name in sorted(produced):
         assert filecmp.cmp(dir1 / name, dir2 / name, shallow=False), name
+
+
+def test_reproduce_empirical_meta_reruns_byte_identical(tmp_path):
+    outdir = tmp_path / "run"
+    assert run_cli("reproduce", "--outdir", outdir, "--steps", 2, "--theta-count", 16,
+                   "--grid-points", 256, "--shots", 2000, "--seed", 5) == 0
+    name = "empirical_crossover_added_1v2.json"
+    meta = (outdir / f"{name}.meta").read_text()
+    assert "grid-points" not in meta
+    again = tmp_path / name
+    assert run_cli("empirical-crossover", "--config", outdir / f"{name}.meta",
+                   "--out", again) == 0
+    assert again.read_bytes() == (outdir / name).read_bytes()
+    # the same settings, in the subcommand's option order
+    rerun_meta = (tmp_path / f"{name}.meta").read_text()
+    assert sorted(rerun_meta.splitlines()) == sorted(meta.replace(str(outdir), str(tmp_path))
+                                                     .splitlines())
 
 
 def test_reproduce_artifact_rerun_from_meta(tmp_path):

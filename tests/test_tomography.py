@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_hermite, factorial
 
+from tomosense import tomography
 from tomosense.errors import GridTooNarrow, ValidationError
 from tomosense.states import CatParams, SqueezeParams, build_cat_family, build_svs_family
 from tomosense.tomography import (
@@ -233,6 +234,37 @@ def test_held_tables_equal_fresh_tables():
                 alone = pdf_slice(v, theta, g)
                 assert np.array_equal(sl.pdf, alone.pdf)
                 assert np.array_equal(sl.cdf, alone.cdf)
+
+
+def per_set_tables(grid, n_max):
+    """Test-side copy of the per-set tables: one recurrence per abscissa set."""
+    xs = grid.points()
+    h = grid.spacing
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    nodes = [-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)]
+    return [hermite_function(n_max, x) for x in [xs] + [mids + 0.5 * h * nd for nd in nodes]]
+
+
+@pytest.mark.parametrize("n_points", [64, 65, 2048, 2049])
+def test_held_four_set_tables_equal_per_set_tables(n_points, monkeypatch):
+    calls = []
+
+    def counted(n_max, x):
+        calls.append(n_max)
+        return hermite_function(n_max, x)
+
+    monkeypatch.setattr(tomography, "hermite_function", counted)
+    tables = HermiteTables()
+    narrow, wide = QuadratureGrid(-8.0, 8.0, n_points), QuadratureGrid(-11.5, 11.5, n_points)
+    # a first grid, a grid change, a row prefix, row increases by many and by one
+    for grid, n_max, builds in [(narrow, 5, 1), (wide, 5, 1), (wide, 3, 0), (wide, 40, 1),
+                                (wide, 41, 1), (wide, 41, 0)]:
+        before = len(calls)
+        blocks = tables.get(grid, n_max)
+        assert len(calls) - before == builds
+        for block, ref in zip(blocks, per_set_tables(grid, n_max), strict=True):
+            assert block.shape[1] == ref.shape[1]
+            assert np.array_equal(block[:n_max + 1], ref)
 
 
 def test_grid_too_narrow():

@@ -8,10 +8,18 @@ from hypothesis import strategies as st
 from scipy.stats import norm, wasserstein_distance
 
 from tomosense.errors import EmptySamples, GridMismatch, MultipleRootsWarning, ValidationError
-from tomosense.states import build_state, mean_photon_number
-from tomosense.tomography import DistributionSlice, QuadratureGrid, auto_grid, pdf_slice
+from tomosense.states import CatParams, StateSpec, build_state, mean_photon_number
+from tomosense.tomography import (
+    DEFAULT_GRID_POINTS,
+    DistributionSlice,
+    QuadratureGrid,
+    auto_grid,
+    pdf_slice,
+    pdf_slices,
+)
 from tomosense.transport import (
     CrossoverResult,
+    _integrate_abs_difference,
     SweepTable,
     crossover_json,
     equal_mean_alpha,
@@ -153,6 +161,101 @@ def test_multi_angle_sweep_equals_one_angle_sweeps():
         for (_, col), (_, ref) in zip(table.columns, alone.columns, strict=True):
             assert np.array_equal(col, ref, equal_nan=True)
         assert math.isnan(table.columns[1][1][0])  # no subtracted state at r = 0
+
+
+def per_cell_integral(u, du, h):
+    """Test-side copy of the per-cell cubic integral: one ``np.roots`` per split cell."""
+    u0, u1, s0, s1 = u[:-1], u[1:], du[:-1], du[1:]
+    d, c = u0, s0
+    b = -3.0 * u0 - 2.0 * s0 + 3.0 * u1 - s1
+    a = 2.0 * u0 + s0 - 2.0 * u1 + s1
+    cell = a / 4.0 + b / 3.0 + c / 2.0 + d
+    flip = u0 * u1 < 0.0
+    total = float(np.sum(np.abs(np.where(flip, 0.0, cell))))
+    for i in np.nonzero(flip)[0]:
+        ai, bi, ci, di = a[i], b[i], c[i], d[i]
+        if u0[i] < u1[i]:
+            ai, bi, ci, di = -ai, -bi, -ci, -di
+        linear = di / (di - (ai + bi + ci + di))
+        roots = (np.roots([ai, bi, ci, di]) if ai != 0.0 or bi != 0.0
+                 else np.array([-di / ci]))
+        inside = [z.real for z in roots if abs(z.imag) < 1e-9 and 0.0 < z.real < 1.0]
+        tau = min(inside, key=lambda t: abs(t - linear)) if inside else linear
+
+        def antideriv(t):
+            return ((ai * t / 4.0 + bi / 3.0) * t + ci / 2.0) * t * t + di * t
+
+        left = antideriv(tau)
+        total += abs(left) + abs(antideriv(1.0) - left)
+    return total * h
+
+
+def per_set_w1_pair(va, vb, thetas, n_points=DEFAULT_GRID_POINTS):
+    """Test-side W1 pair without a holder: per-set tables, per-cell roots."""
+    grid = auto_grid(va, n_points=n_points).union(auto_grid(vb, n_points=n_points))
+    h = grid.spacing
+    return [per_cell_integral(a.cdf - b.cdf, (a.pdf - b.pdf) * h, h)
+            for a, b in pdf_slices([va, vb], thetas, grid)]
+
+
+# (u0, u1, s0, s1) of cells off the stacked eigensolve (a == 0 with b != 0, then
+# a == b == 0) and of a cubic cell whose only real root rounds to 1 (no root inside)
+QUADRATIC_CELL, LINEAR_CELL = (1.0, -1.0, -3.0, -1.0), (1.0, -1.0, -2.0, -2.0)
+EDGE_CELLS = [QUADRATIC_CELL, LINEAR_CELL, (1.0, -1e-18, -0.5, -2.0)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_eigensolve_equals_per_cell_roots(seed):
+    rng = np.random.default_rng(seed)
+    n = 400
+    u = rng.standard_normal(n) * 10.0 ** rng.integers(-9, 1, n)
+    du = rng.standard_normal(n) * 10.0 ** rng.integers(-9, 1, n)
+    # splice in degenerate cells, falling and (negated) rising
+    for k, (u0, u1, s0, s1) in enumerate(EDGE_CELLS * 2):
+        i = 40 * (k + 1) + seed
+        sign = -1.0 if k >= len(EDGE_CELLS) else 1.0
+        u[i:i + 2], du[i:i + 2] = sign * np.array([u0, u1]), sign * np.array([s0, s1])
+    h = 0.01
+    assert np.count_nonzero(u[:-1] * u[1:] < 0.0) > 100
+    a = 2.0 * u[:-1] + du[:-1] - 2.0 * u[1:] + du[1:]
+    assert np.count_nonzero(a == 0.0) == 4
+    got = _integrate_abs_difference(u, du, h)
+    assert got == per_cell_integral(u, du, h)
+    assert _integrate_abs_difference(-u, -du, h) == got
+
+
+@pytest.mark.parametrize("cell", EDGE_CELLS)
+def test_edge_cells_equal_per_cell_roots(cell):
+    u0, u1, s0, s1 = cell
+    for sign in (1.0, -1.0):
+        u, du = sign * np.array([u0, u1]), sign * np.array([s0, s1])
+        assert _integrate_abs_difference(u, du, 0.5) == per_cell_integral(u, du, 0.5)
+
+
+@pytest.mark.parametrize("spec_a,spec_b,theta", [
+    (svs_spec(0.6), svs_spec(0.6, 2), math.pi / 20),
+    (svs_spec(0.45, 1), svs_spec(0.45, -3), 0.0),
+    (StateSpec("cat-even", CatParams(complex(1.2, 0.7)), 1, 1e-12), ocs_spec(1.4), math.pi / 3),
+])
+def test_w1_states_equals_per_set_per_cell_pair(spec_a, spec_b, theta):
+    va, vb = build_state(spec_a), build_state(spec_b)
+    for n_points in (DEFAULT_GRID_POINTS, 257):
+        assert (w1_states(spec_a, spec_b, theta, n_points=n_points)
+                == per_set_w1_pair(va, vb, [theta], n_points)[0])
+
+
+def test_sweep_w1_holder_equals_per_set_per_cell_pairs():
+    comparisons = [svs_spec(m=1), svs_spec(m=-2), svs_spec(m=3)]
+    thetas = [0.0, math.pi / 7]
+    lo, hi, steps = 0.0, 0.7, 6
+    tables = sweep_w1(svs_spec(), comparisons, (lo, hi, steps), thetas)
+    for i, p in enumerate(np.linspace(lo, hi, steps)):
+        ref = build_state(svs_spec(p))
+        for j, spec in enumerate(comparisons):
+            want = ([math.nan] * len(thetas) if p == 0.0 and spec.photon_delta < 0
+                    else per_set_w1_pair(ref, build_state(spec.with_parameter(p)), thetas))
+            got = [table.columns[j][1][i] for table in tables]
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_sweep_rejects_mixed_parameters():
