@@ -438,9 +438,10 @@ def _handle_reproduce(cfg: dict) -> int:
         return {"family": family, "r": R_DEFAULT, "phi": 0.0, "alpha-re": 1.8,
                 "alpha-im": 0.0, "m": m, "tail-tol": tail}
 
-    def crossover(family, pair, lo, hi, theta):
+    def crossover(family, pair, lo, hi, theta, exact=True):
+        grid = {"grid-points": points} if exact else {}
         return {**state(family), "lo": lo, "hi": hi, "theta": parse_theta(theta),
-                "grid-points": points, "pair": pair, "scan-points": 64}
+                **grid, "pair": pair, "scan-points": 64}
 
     for label, family, m in [("svs", "svs", 0), ("svs_add1", "svs", 1),
                              ("svs_add2", "svs", 2), ("svs_add3", "svs", 3),
@@ -452,8 +453,7 @@ def _handle_reproduce(cfg: dict) -> int:
         emit(f"tomogram_{label}.pgm", "tomogram", sub_cfg, _handle_tomogram(sub_cfg))
 
     if cfg["empirical"]:
-        sub_cfg = crossover("svs", "add1:add2", 0.30, 0.60, "0")
-        del sub_cfg["grid-points"]  # not an option of the sampled search
+        sub_cfg = crossover("svs", "add1:add2", 0.30, 0.60, "0", exact=False)
         sub_cfg.update(shots=cfg["shots"], seed=cfg["seed"])
         emit("empirical_crossover_added_1v2.json", "empirical-crossover", sub_cfg,
              _handle_empirical_crossover(sub_cfg))

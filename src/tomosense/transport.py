@@ -33,7 +33,6 @@ from .errors import EmptySamples, GridMismatch, MultipleRootsWarning, Validation
 from .states import StateSpec, build_state, mean_photon_number
 from .tomography import (
     DEFAULT_GRID_POINTS,
-    MAX_GRID_POINTS,
     DistributionSlice,
     HermiteTables,
     auto_grid,
@@ -41,6 +40,12 @@ from .tomography import (
 )
 
 W1Curve = Callable[[float, float], float]
+
+# Sweep steps and crossover scan points size no table: each value costs one
+# W1 evaluation per curve (about 2 ms at the default grid), so 2**15 values
+# already take a minute or more.  The bound rejects a mistyped count before
+# np.linspace allocates it.
+MAX_PARAMETER_POINTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -218,8 +223,9 @@ def sweep_w1(reference: StateSpec, comparisons: Sequence[StateSpec],
     lo, hi, steps = parameter_range
     if not (lo < hi):
         raise ValidationError("sweep range needs lo < hi")
-    if not 2 <= steps <= MAX_GRID_POINTS:
-        raise ValidationError(f"sweep steps must be in [2, {MAX_GRID_POINTS}], got {steps}")
+    if not 2 <= steps <= MAX_PARAMETER_POINTS:
+        raise ValidationError(
+            f"sweep steps must be in [2, {MAX_PARAMETER_POINTS}], got {steps}")
     swept = "r" if reference.family == "svs" else "alpha"
     for spec in comparisons:
         other = "r" if spec.family == "svs" else "alpha"
@@ -274,9 +280,9 @@ def _scan_and_bisect(h: Callable[[float], float], bracket: tuple[float, float],
     lo, hi = bracket
     if not (lo < hi):
         raise ValidationError("bracket needs lo < hi")
-    if not 2 <= scan_points <= MAX_GRID_POINTS:
+    if not 2 <= scan_points <= MAX_PARAMETER_POINTS:
         raise ValidationError(
-            f"scan points must be in [2, {MAX_GRID_POINTS}], got {scan_points}")
+            f"scan points must be in [2, {MAX_PARAMETER_POINTS}], got {scan_points}")
     if not (width_tol > 0):
         raise ValidationError("parameter tolerance must be > 0")
     if not (residual_tol >= 0):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from tomosense import cli, homodyne, tomography
+from tomosense import cli, homodyne, tomography, transport
 from tomosense.cli import main, parse_theta
 from tomosense.errors import ValidationError
 from tomosense.states import SqueezeParams, normalization_constant
@@ -236,9 +236,9 @@ def test_reproduce_bad_input_exits_2_before_writing(tmp_path, capsys, flag, valu
     (["slice", "--grid-points", tomography.MAX_GRID_POINTS + 1], "n_points"),
     (["w1", "--b-m", 1, "--grid-points", tomography.MAX_GRID_POINTS + 1], "n_points"),
     (["tomogram", "--theta-count", tomography.MAX_THETA_COUNT + 1], "theta_count"),
-    (["sweep", "--steps", tomography.MAX_GRID_POINTS + 1], "steps"),
-    (["crossover", "--scan-points", tomography.MAX_GRID_POINTS + 1], "scan points"),
-    (["empirical-crossover", "--shots", 10, "--scan-points", tomography.MAX_GRID_POINTS + 1],
+    (["sweep", "--steps", transport.MAX_PARAMETER_POINTS + 1], "steps"),
+    (["crossover", "--scan-points", transport.MAX_PARAMETER_POINTS + 1], "scan points"),
+    (["empirical-crossover", "--shots", 10, "--scan-points", transport.MAX_PARAMETER_POINTS + 1],
      "scan points"),
     (["reproduce", "--grid-points", tomography.MAX_GRID_POINTS + 1], "n_points"),
     (["reproduce", "--theta-count", tomography.MAX_THETA_COUNT + 1], "theta_count"),
