@@ -19,6 +19,7 @@ import os
 import re
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .tomography import (
 )
 from .transport import (
     SweepTable,
+    check_parameter_points,
     crossover_json,
     equal_mean_alpha,
     equal_mean_parameter,
@@ -69,7 +71,8 @@ _PI_FRACTION = re.compile(
 def parse_theta(text: str) -> float:
     """Angle in radians from a decimal or a pi fraction like ``pi/20`` or ``3pi/4``.
 
-    The angle must be finite: ``nan``, ``inf`` and ``pi/0`` are rejected.
+    ``nan``, ``inf``, ``pi/0`` and angles beyond +-2**53 rad (where neighbouring
+    doubles are 2 rad apart) are rejected.
     """
     m = _PI_FRACTION.match(str(text))
     if m:
@@ -82,8 +85,8 @@ def parse_theta(text: str) -> float:
             value = float(text)
         except ValueError:
             raise ValidationError(f"cannot parse angle {text!r}") from None
-    if not math.isfinite(value):
-        raise ValidationError(f"angle must be finite, got {text!r}")
+    if not abs(value) <= 2.0**53:
+        raise ValidationError(f"angle must be finite and within +-2**53, got {text!r}")
     return value
 
 
@@ -177,7 +180,7 @@ def resolve_config(subcommand: str, flags: dict, config_path: str | None) -> dic
             value = default
         resolved[name] = value
     for target in ("out", "outdir"):
-        if any(name == target for name, _, _ in OPTIONS[subcommand]) and resolved[target] is None:
+        if target in resolved and resolved[target] is None:
             raise ValidationError(f"--{target} is required (flag or config file)")
     return resolved
 
@@ -208,17 +211,15 @@ def atomic_write(path: str, data: bytes) -> None:
 
 def _state_spec(cfg: dict, prefix: str = "") -> StateSpec:
     family = cfg[f"{prefix}family"]
-    m = cfg[f"{prefix}m"]
-    tail = cfg.get(f"{prefix}tail-tol", cfg.get("tail-tol", 1e-12))
     if family == "svs":
         params = SqueezeParams(cfg[f"{prefix}r"], cfg[f"{prefix}phi"])
     else:
         params = CatParams(complex(cfg[f"{prefix}alpha-re"], cfg[f"{prefix}alpha-im"]))
-    return StateSpec(family, params, m, tail)
+    return StateSpec(family, params, cfg[f"{prefix}m"], cfg[f"{prefix}tail-tol"])
 
 
 def _grid_for(cfg: dict, v) -> QuadratureGrid:
-    if cfg.get("grid-halfwidth") is not None:
+    if cfg["grid-halfwidth"] is not None:
         return QuadratureGrid(-cfg["grid-halfwidth"], cfg["grid-halfwidth"],
                               cfg["grid-points"])
     return auto_grid(v, n_points=cfg["grid-points"])
@@ -290,9 +291,7 @@ def _sweep_tables(cfg: dict, thetas: list[float]) -> list[SweepTable]:
     deltas = [_parse_delta(tok) for tok in cfg["compare"].split(",") if tok.strip()]
     if not deltas:
         raise ValidationError("--compare needs at least one photon delta")
-    comparisons = [
-        StateSpec(reference.family, reference.params, d, reference.tail_tol) for d in deltas
-    ]
+    comparisons = [replace(reference, photon_delta=d) for d in deltas]
     return sweep_w1(reference, comparisons, (cfg["lo"], cfg["hi"], cfg["steps"]),
                     thetas, n_points=cfg["grid-points"])
 
@@ -306,11 +305,7 @@ def _crossover_curves(cfg: dict):
     tok_a, _, tok_b = cfg["pair"].partition(":")
     if not tok_b:
         raise ValidationError("--pair must look like add1:add2")
-    specs = [
-        StateSpec(reference.family, reference.params, _parse_delta(tok), reference.tail_tol)
-        for tok in (tok_a, tok_b)
-    ]
-    return reference, specs
+    return reference, [replace(reference, photon_delta=_parse_delta(tok)) for tok in (tok_a, tok_b)]
 
 
 def _handle_crossover(cfg: dict) -> bytes:
@@ -358,10 +353,20 @@ HANDLERS = {
 # reproduce: the full standard sweep set
 # ---------------------------------------------------------------------------
 
-ADDED_THETAS = [("0", "0"), ("pi100", "pi/100"), ("pi50", "pi/50"), ("pi35", "pi/35"),
-                ("pi20", "pi/20"), ("pi10", "pi/10"), ("pi4", "pi/4"), ("pi2", "pi/2")]
-SUBTRACTED_THETAS = [("0", "0"), ("pi100", "pi/100"), ("pi75", "pi/75"), ("pi50", "pi/50"),
-                     ("pi35", "pi/35"), ("pi20", "pi/20"), ("pi4", "pi/4"), ("pi2", "pi/2")]
+# reproduce's subcommand products, one declared table per stage; each row holds
+# only what reproduce sets, and everything else is the subcommand's default.
+TOMOGRAMS = [("svs", "svs", 0), ("svs_add1", "svs", 1), ("svs_add2", "svs", 2),
+             ("svs_add3", "svs", 3), ("svs_sub2", "svs", -2), ("svs_sub3", "svs", -3),
+             ("ecs", "cat-even", 0), ("ecs_add1", "cat-even", 1), ("ecs_add2", "cat-even", 2)]
+CROSSOVERS = [("crossover_added_1v2.json", "svs", "add1:add2", 0.30, 0.60, "0"),
+              ("crossover_added_1v3.json", "svs", "add1:add3", 0.45, 0.75, "0"),
+              ("crossover_ecs_1v2.json", "cat-even", "add1:add2", 1.5, 2.5, "pi/2")]
+ADDED_THETAS = ["0", "pi/100", "pi/50", "pi/35", "pi/20", "pi/10", "pi/4", "pi/2"]
+SUBTRACTED_THETAS = ["0", "pi/100", "pi/75", "pi/50", "pi/35", "pi/20", "pi/4", "pi/2"]
+# a panel's file name puts the angle text without "/" in place of {}: pi/100 -> pi100
+SWEEP_PANELS = [("w1_added_theta_{}.csv", "svs", "1,2,3", 0.3, 0.8, ADDED_THETAS),
+                ("w1_subtracted_theta_{}.csv", "svs", "-1,-2,-3", 0.3, 0.8, SUBTRACTED_THETAS),
+                ("w1_ecs_added.csv", "cat-even", "1,2", 1.5, 2.5, ["pi/2"])]
 
 
 def _reproduce_tables(cfg: dict, added_theta_0: SweepTable) -> list[tuple[str, bytes]]:
@@ -418,74 +423,54 @@ def _reproduce_tables(cfg: dict, added_theta_0: SweepTable) -> list[tuple[str, b
     return outputs
 
 
-def _handle_reproduce(cfg: dict) -> int:
-    """Every output of the standard set, each with the ``.meta`` of its subcommand.
+def _product(subcommand: str, cfg: dict) -> tuple[str, bytes, str]:
+    """(output path, payload, ``.meta`` text) of one resolved subcommand run."""
+    return cfg["out"], HANDLERS[subcommand](cfg), _meta_text(subcommand, cfg)
 
-    Each sweep panel is one multi-angle sweep; every other output comes from
-    its subcommand's handler, given the sub-config its ``.meta`` records.
-    All payloads are computed before the first file is written, and the
-    stages that check user input (tomogram angles, shots, seed) run first,
-    so bad input fails fast and leaves the output directory untouched.
+
+def _handle_reproduce(cfg: dict) -> list[tuple[str, bytes, str]]:
+    """Every output of the standard set as (path, payload, ``.meta`` text).
+
+    Each subcommand product is resolved by ``resolve_config`` from the flags
+    reproduce sets, exactly as a rerun from its ``.meta`` resolves it; each
+    sweep panel is one multi-angle sweep.  The stages that check user input
+    (steps, tomogram angles, shots, seed) run first, so bad input fails
+    before the slow stages.
     """
-    outdir, steps, points, tail = cfg["outdir"], cfg["steps"], cfg["grid-points"], cfg["tail-tol"]
-    outputs = []  # (path, payload, .meta text)
+    check_parameter_points(cfg["steps"], "sweep steps")
+    shared = {name.replace("-", "_"): cfg[name]
+              for name in ("steps", "theta-count", "grid-points", "shots", "seed", "tail-tol")}
 
-    def emit(filename, subcommand, sub_cfg, payload):
-        path = os.path.join(outdir, filename)
-        outputs.append((path, payload, _meta_text(subcommand, dict(sub_cfg, out=path))))
+    def sub_config(subcommand, filename, **flags):
+        path = os.path.join(cfg["outdir"], filename)
+        return resolve_config(subcommand, dict(shared, out=path, **flags), None)
 
-    def state(family="svs", m=0):
-        return {"family": family, "r": R_DEFAULT, "phi": 0.0, "alpha-re": 1.8,
-                "alpha-im": 0.0, "m": m, "tail-tol": tail}
-
-    def crossover(family, pair, lo, hi, theta, exact=True):
-        grid = {"grid-points": points} if exact else {}
-        return {**state(family), "lo": lo, "hi": hi, "theta": parse_theta(theta),
-                **grid, "pair": pair, "scan-points": 64}
-
-    for label, family, m in [("svs", "svs", 0), ("svs_add1", "svs", 1),
-                             ("svs_add2", "svs", 2), ("svs_add3", "svs", 3),
-                             ("svs_sub2", "svs", -2), ("svs_sub3", "svs", -3),
-                             ("ecs", "cat-even", 0), ("ecs_add1", "cat-even", 1),
-                             ("ecs_add2", "cat-even", 2)]:
-        sub_cfg = {**state(family, m), "grid-halfwidth": None, "grid-points": points,
-                   "theta-count": cfg["theta-count"], "format": "pgm"}
-        emit(f"tomogram_{label}.pgm", "tomogram", sub_cfg, _handle_tomogram(sub_cfg))
-
-    if cfg["empirical"]:
-        sub_cfg = crossover("svs", "add1:add2", 0.30, 0.60, "0", exact=False)
-        sub_cfg.update(shots=cfg["shots"], seed=cfg["seed"])
-        emit("empirical_crossover_added_1v2.json", "empirical-crossover", sub_cfg,
-             _handle_empirical_crossover(sub_cfg))
+    outputs = [_product("tomogram", sub_config("tomogram", f"tomogram_{label}.pgm",
+                                               family=family, m=m))
+               for label, family, m in TOMOGRAMS]
+    crossovers = [(filename, dict(family=family, pair=pair, lo=lo, hi=hi, theta=parse_theta(t)))
+                  for filename, family, pair, lo, hi, t in CROSSOVERS]
+    if cfg["empirical"]:  # the first crossover, from seeded homodyne records
+        filename, flags = crossovers[0]
+        sub_cfg = sub_config("empirical-crossover", f"empirical_{filename}", **flags)
+        outputs.append(_product("empirical-crossover", sub_cfg))
 
     sweeps = {}
-    for files, family, compare, lo, hi in [
-        ([(f"w1_added_theta_{tag}.csv", t) for tag, t in ADDED_THETAS], "svs", "1,2,3", 0.3, 0.8),
-        ([(f"w1_subtracted_theta_{tag}.csv", t) for tag, t in SUBTRACTED_THETAS],
-         "svs", "-1,-2,-3", 0.3, 0.8),
-        ([("w1_ecs_added.csv", "pi/2")], "cat-even", "1,2", 1.5, 2.5),
-    ]:
-        panel_cfg = {**state(family), "compare": compare, "lo": lo, "hi": hi, "steps": steps,
-                     "theta": None, "grid-points": points}
-        thetas = [parse_theta(text) for _, text in files]
-        for (filename, _), theta, table in zip(files, thetas, _sweep_tables(panel_cfg, thetas)):
-            sweeps[filename] = table
-            emit(filename, "sweep", dict(panel_cfg, theta=theta), sweep_csv(table).encode())
+    for template, family, compare, lo, hi, angles in SWEEP_PANELS:
+        cfgs = [sub_config("sweep", template.format(a.replace("/", "")), family=family,
+                           compare=compare, lo=lo, hi=hi, theta=parse_theta(a)) for a in angles]
+        for sub_cfg, table in zip(cfgs, _sweep_tables(cfgs[0], [c["theta"] for c in cfgs])):
+            sweeps[sub_cfg["out"]] = table
+            outputs.append((sub_cfg["out"], sweep_csv(table).encode(),
+                            _meta_text("sweep", sub_cfg)))
 
-    for filename, sub_cfg in [
-        ("crossover_added_1v2.json", crossover("svs", "add1:add2", 0.30, 0.60, "0")),
-        ("crossover_added_1v3.json", crossover("svs", "add1:add3", 0.45, 0.75, "0")),
-        ("crossover_ecs_1v2.json", crossover("cat-even", "add1:add2", 1.5, 2.5, "pi/2")),
-    ]:
-        emit(filename, "crossover", sub_cfg, _handle_crossover(sub_cfg))
-
+    outputs += [_product("crossover", sub_config("crossover", filename, **flags))
+                for filename, flags in crossovers]
     reproduce_meta = _meta_text("reproduce", cfg)
-    for filename, payload in _reproduce_tables(cfg, sweeps["w1_added_theta_0.csv"]):
-        outputs.append((os.path.join(outdir, filename), payload, reproduce_meta))
-    for path, payload, meta in outputs:
-        atomic_write(path, payload)
-        atomic_write(path + ".meta", meta.encode())
-    return 0
+    added_theta_0 = sweeps[os.path.join(cfg["outdir"], "w1_added_theta_0.csv")]
+    outputs += [(os.path.join(cfg["outdir"], filename), payload, reproduce_meta)
+                for filename, payload in _reproduce_tables(cfg, added_theta_0)]
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +478,15 @@ def _handle_reproduce(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def run(subcommand: str, flags: dict, config_path: str | None = None) -> int:
-    """Resolve configuration, dispatch, and write output plus metadata."""
+    """Resolve configuration, compute every output, then write each with its metadata."""
     cfg = resolve_config(subcommand, flags, config_path)
     if subcommand == "reproduce":
-        return _handle_reproduce(cfg)
-    payload = HANDLERS[subcommand](cfg)
-    out = cfg["out"]
-    atomic_write(out, payload)
-    atomic_write(out + ".meta", _meta_text(subcommand, cfg).encode())
+        outputs = _handle_reproduce(cfg)
+    else:
+        outputs = [_product(subcommand, cfg)]
+    for path, payload, meta in outputs:
+        atomic_write(path, payload)
+        atomic_write(path + ".meta", meta.encode())
     return 0
 
 

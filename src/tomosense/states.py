@@ -73,8 +73,9 @@ class CatParams:
         a = complex(self.alpha)
         if not (math.isfinite(a.real) and math.isfinite(a.imag)):
             raise ValidationError("alpha must be finite")
-        if abs(a) > 12.0:
-            raise ValidationError(f"|alpha| = {abs(a):g} exceeds the supported bound 12")
+        mag = math.hypot(a.real, a.imag)  # abs(a), but inf instead of OverflowError
+        if mag > 12.0:
+            raise ValidationError(f"|alpha| = {mag:g} exceeds the supported bound 12")
         object.__setattr__(self, "alpha", a)
 
 
@@ -103,6 +104,9 @@ class FockVector:
 
 
 SVS_VALIDATED_DELTA = 3
+# The series read photon counts as float64 (gammaln), exact up to 2**53; numpy
+# cannot convert a count beyond 2**64 at all.
+MAX_PHOTON_DELTA = 2**53
 CAT_FAMILIES = ("cat-even", "cat-odd", "coherent")
 FAMILIES = ("svs",) + CAT_FAMILIES
 
@@ -126,6 +130,8 @@ class StateSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        if abs(self.photon_delta) > MAX_PHOTON_DELTA:
+            raise ValidationError(f"photon_delta must be within +-2**53, got {self.photon_delta}")
         if self.family == "svs":
             if not isinstance(self.params, SqueezeParams):
                 raise ValidationError("svs needs SqueezeParams")
@@ -265,6 +271,8 @@ def build_svs_family(p: SqueezeParams, m: int, tail_tol: float = DEFAULT_TAIL_TO
 def _svs_added(p: SqueezeParams, m: int, tail_tol: float) -> FockVector:
     t = math.tanh(p.r)
     if t == 0.0:
+        if m > CUTOFF_CAP:  # the state is |m>, as any r > 0 series would reach the cap
+            raise TruncationFailure(f"|{m}> is above the cutoff cap {CUTOFF_CAP}")
         amps = np.zeros(m + 1, dtype=np.complex128)
         amps[m] = 1.0
         return FockVector(amps, m, 0.0)

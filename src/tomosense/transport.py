@@ -48,6 +48,12 @@ W1Curve = Callable[[float, float], float]
 MAX_PARAMETER_POINTS = 2**15
 
 
+def check_parameter_points(count: int, what: str) -> None:
+    """Reject a sweep step or scan point count outside [2, MAX_PARAMETER_POINTS]."""
+    if not 2 <= count <= MAX_PARAMETER_POINTS:
+        raise ValidationError(f"{what} must be in [2, {MAX_PARAMETER_POINTS}], got {count}")
+
+
 @dataclass(frozen=True)
 class SweepTable:
     """W1 values per comparison state over an ascending parameter list.
@@ -223,9 +229,7 @@ def sweep_w1(reference: StateSpec, comparisons: Sequence[StateSpec],
     lo, hi, steps = parameter_range
     if not (lo < hi):
         raise ValidationError("sweep range needs lo < hi")
-    if not 2 <= steps <= MAX_PARAMETER_POINTS:
-        raise ValidationError(
-            f"sweep steps must be in [2, {MAX_PARAMETER_POINTS}], got {steps}")
+    check_parameter_points(steps, "sweep steps")
     swept = "r" if reference.family == "svs" else "alpha"
     for spec in comparisons:
         other = "r" if spec.family == "svs" else "alpha"
@@ -280,9 +284,7 @@ def _scan_and_bisect(h: Callable[[float], float], bracket: tuple[float, float],
     lo, hi = bracket
     if not (lo < hi):
         raise ValidationError("bracket needs lo < hi")
-    if not 2 <= scan_points <= MAX_PARAMETER_POINTS:
-        raise ValidationError(
-            f"scan points must be in [2, {MAX_PARAMETER_POINTS}], got {scan_points}")
+    check_parameter_points(scan_points, "scan points")
     if not (width_tol > 0):
         raise ValidationError("parameter tolerance must be > 0")
     if not (residual_tol >= 0):

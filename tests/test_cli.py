@@ -2,14 +2,18 @@ import filecmp
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from conftest import doubles
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tomosense import cli, homodyne, tomography, transport
 from tomosense.cli import main, parse_theta
 from tomosense.errors import ValidationError
-from tomosense.states import SqueezeParams, normalization_constant
+from tomosense.states import MAX_PHOTON_DELTA, SqueezeParams, normalization_constant
 
 
 def run_cli(*args):
@@ -29,6 +33,7 @@ def run_cli(*args):
     ("2pi/3", 2 * math.pi / 3),
     ("3pi/4", 3 * math.pi / 4),
     ("-pi/2", -math.pi / 2),
+    ("9007199254740992", 2.0**53),
 ])
 def test_parse_theta(text, value):
     assert parse_theta(text) == pytest.approx(value, abs=1e-15)
@@ -41,6 +46,12 @@ def test_parse_theta_rejects_garbage():
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "pi/0", "1e309"])
 def test_parse_theta_rejects_non_finite(text):
+    with pytest.raises(ValidationError):
+        parse_theta(text)
+
+
+@pytest.mark.parametrize("text", ["1e308", "-1e17", "9007199254740994"])
+def test_parse_theta_rejects_angles_beyond_2_53(text):
     with pytest.raises(ValidationError):
         parse_theta(text)
 
@@ -223,8 +234,16 @@ def test_bad_format_exits_2_before_any_computation(tmp_path, monkeypatch, capsys
     ("--shots", homodyne.MAX_SHOTS + 1, "shots"),
     ("--seed", -1, "seed"),
     ("--theta-count", 8, "theta_count"),
+    ("--steps", 40000, "steps"),
+    ("--steps", 1, "steps"),
 ])
-def test_reproduce_bad_input_exits_2_before_writing(tmp_path, capsys, flag, value, message):
+def test_reproduce_bad_input_exits_2_before_writing(tmp_path, monkeypatch, capsys,
+                                                    flag, value, message):
+    if flag == "--steps":  # checked before the first stage, so no tomogram is built
+        def no_tomogram(*args):
+            raise AssertionError("tomogram built for an invalid step count")
+
+        monkeypatch.setattr(cli, "tomogram", no_tomogram)
     outdir = tmp_path / "run"
     assert run_cli("reproduce", "--outdir", outdir, "--steps", 2, "--grid-points", 256,
                    flag, value) == 2
@@ -273,6 +292,67 @@ def strict_json(text):
         raise ValueError(f"non-finite JSON constant {name}")
 
     return json.loads(text, parse_constant=reject)
+
+
+# config-file values of the state options: edge doubles (nan, inf, subnormals)
+# and plain ones, photon changes up to 10**30 and small ones
+numbers = st.one_of(doubles, st.floats(-2.0, 2.0)).map(repr)
+STATE_VALUES = {
+    "family": st.sampled_from(["svs", "cat-even", "cat-odd", "coherent", "squeezed"]),
+    "r": numbers, "phi": numbers, "alpha-re": numbers, "alpha-im": numbers,
+    "m": st.one_of(st.integers(-4, 4), st.integers(-10**30, 10**30)).map(str),
+    "tail-tol": numbers,
+}
+
+
+@given(subcommand=st.sampled_from(["state", "observables"]),
+       values=st.fixed_dictionaries({}, optional=dict(STATE_VALUES, theta=numbers)))
+@settings(max_examples=200, deadline=None)
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_config_files_exit_0_2_3_with_strict_json(subcommand, values):
+    if subcommand == "state":
+        values.pop("theta", None)
+    with tempfile.TemporaryDirectory() as outdir:
+        cfg = os.path.join(outdir, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{key}={text}\n" for key, text in values.items())
+        out = os.path.join(outdir, "out")
+        assert main([subcommand, "--config", cfg, "--out", out]) in (0, 2, 3)
+        if subcommand == "observables" and os.path.exists(out):
+            with open(out, encoding="utf-8") as fh:
+                strict_json(fh.read())
+
+
+# angles reach the CLI only through parse_theta, which argparse turns into a
+# usage exit, so those cases come from a config file
+@pytest.mark.parametrize("args,config,message", [
+    (["state", "--m", 99999999999999999999], "", "photon_delta"),
+    (["state", "--m", -(MAX_PHOTON_DELTA + 1)], "", "photon_delta"),
+    (["w1", "--b-m", 99999999999999999999], "", "photon_delta"),
+    (["sweep", "--compare", 99999999999999999999, "--steps", 3], "", "photon_delta"),
+    (["observables"], "theta=1e308\n", "angle"),
+    (["sample", "--shots", 10], "theta=1e308\n", "angle"),
+    (["state", "--family", "cat-even", "--alpha-re", 1.5e308, "--alpha-im", 1.5e308], "",
+     "alpha"),
+])
+def test_huge_numbers_exit_2(tmp_path, capsys, args, config, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "x.out"
+    assert run_cli(*args, "--config", cfg, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_large_subtraction_and_vacuum_addition_limits(tmp_path):
+    out = tmp_path / "coeffs.csv"
+    with pytest.warns(UserWarning, match="validated range"):
+        assert run_cli("state", "--m", -2000, "--r", 0.0001, "--out", out) == 0
+    # |m> from the vacuum stops at the cutoff cap, as the series for r > 0 does
+    with pytest.warns(UserWarning, match="validated range"):
+        assert run_cli("state", "--m", 512, "--r", 0, "--out", out) == 0
+        assert run_cli("state", "--m", 513, "--r", 0, "--out", out) == 3
+        assert run_cli("state", "--m", 513, "--r", 1e-300, "--out", out) == 3
 
 
 def test_empirical_crossover_narrow_scan_cell_is_strict_json(tmp_path):
@@ -356,10 +436,8 @@ def test_reproduce_empirical_meta_reruns_byte_identical(tmp_path):
     assert run_cli("empirical-crossover", "--config", outdir / f"{name}.meta",
                    "--out", again) == 0
     assert again.read_bytes() == (outdir / name).read_bytes()
-    # the same settings, in the subcommand's option order
     rerun_meta = (tmp_path / f"{name}.meta").read_text()
-    assert sorted(rerun_meta.splitlines()) == sorted(meta.replace(str(outdir), str(tmp_path))
-                                                     .splitlines())
+    assert rerun_meta == meta.replace(str(outdir), str(tmp_path))
 
 
 def test_reproduce_artifact_rerun_from_meta(tmp_path):
@@ -367,7 +445,9 @@ def test_reproduce_artifact_rerun_from_meta(tmp_path):
     assert run_cli("reproduce", "--outdir", outdir, "--steps", 3, "--theta-count", 16,
                    "--empirical", 0) == 0
     # rerunning an emitted output of each kind from its metadata reproduces it
-    # byte for byte: one sweep per panel, every crossover, one tomogram
+    # and its metadata byte for byte: one sweep per panel, every crossover,
+    # one tomogram
+    rerun_dir = tmp_path / "again"
     for subcommand, name in [("sweep", "w1_added_theta_pi2.csv"),
                              ("sweep", "w1_subtracted_theta_pi75.csv"),
                              ("sweep", "w1_ecs_added.csv"),
@@ -375,8 +455,11 @@ def test_reproduce_artifact_rerun_from_meta(tmp_path):
                              ("crossover", "crossover_added_1v3.json"),
                              ("crossover", "crossover_ecs_1v2.json"),
                              ("tomogram", "tomogram_svs_sub2.pgm")]:
-        again = tmp_path / f"again_{name}"
+        again = rerun_dir / name
         assert run_cli(subcommand, "--config", outdir / f"{name}.meta", "--out", again) == 0
         assert again.read_bytes() == (outdir / name).read_bytes(), name
+        meta = (outdir / f"{name}.meta").read_text()
+        assert (rerun_dir / f"{name}.meta").read_text() == meta.replace(
+            str(outdir), str(rerun_dir)), name
     payload = json.loads((outdir / "kappa_fits.json").read_text())
     assert payload["m0"] == pytest.approx(2.0, abs=1e-6)
