@@ -271,7 +271,7 @@ def build_svs_family(p: SqueezeParams, m: int, tail_tol: float = DEFAULT_TAIL_TO
 def _svs_added(p: SqueezeParams, m: int, tail_tol: float) -> FockVector:
     t = math.tanh(p.r)
     if t == 0.0:
-        if m > CUTOFF_CAP:  # the state is |m>, as any r > 0 series would reach the cap
+        if m > CUTOFF_CAP:  # the state is |m>; any r > 0 addition above the cap fails too
             raise TruncationFailure(f"|{m}> is above the cutoff cap {CUTOFF_CAP}")
         amps = np.zeros(m + 1, dtype=np.complex128)
         amps[m] = 1.0
