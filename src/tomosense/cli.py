@@ -37,6 +37,7 @@ from .states import (
     SqueezeParams,
     StateSpec,
     build_state,
+    check_angle,
     mean_photon_number,
     quadrature_variance,
 )
@@ -71,8 +72,8 @@ _PI_FRACTION = re.compile(
 def parse_theta(text: str) -> float:
     """Angle in radians from a decimal or a pi fraction like ``pi/20`` or ``3pi/4``.
 
-    ``nan``, ``inf``, ``pi/0`` and angles beyond +-2**53 rad (where neighbouring
-    doubles are 2 rad apart) are rejected.
+    ``nan``, ``inf``, ``pi/0`` and angles beyond +-2**53 rad (``check_angle``)
+    are rejected.
     """
     m = _PI_FRACTION.match(str(text))
     if m:
@@ -85,8 +86,7 @@ def parse_theta(text: str) -> float:
             value = float(text)
         except ValueError:
             raise ValidationError(f"cannot parse angle {text!r}") from None
-    if not abs(value) <= 2.0**53:
-        raise ValidationError(f"angle must be finite and within +-2**53, got {text!r}")
+    check_angle(value)
     return value
 
 

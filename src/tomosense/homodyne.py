@@ -27,10 +27,9 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ValidationError
-from .states import FockVector, StateSpec, build_state
+from .states import FockVector, StateSpec, build_state, check_angle
 from .tomography import auto_grid, pdf_slice
 from .transport import CrossoverResult, _scan_and_bisect, w1_empirical
 
@@ -99,11 +98,15 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(_seed_sequence(seed, *key).generate_state(1, np.uint64)[0])
 
 
-def _inverse_cdf(v: FockVector, theta: float) -> tuple[PchipInterpolator, float, float]:
+def _inverse_cdf(v: FockVector, theta: float) -> tuple[Callable, float, float]:
     """Monotone (PCHIP) inverse of the exact slice CDF and its captured mass [lo, hi].
 
     Flat CDF stretches are dropped so the interpolation nodes strictly increase.
+    scipy.interpolate is imported here, not at module level, because it is
+    most of the start-up time of a process that never samples.
     """
+    from scipy.interpolate import PchipInterpolator
+
     grid = auto_grid(v, n_points=SAMPLING_GRID_POINTS)
     sl = pdf_slice(v, theta, grid)
     keep = np.concatenate([[True], np.diff(sl.cdf) > 0])
@@ -112,8 +115,11 @@ def _inverse_cdf(v: FockVector, theta: float) -> tuple[PchipInterpolator, float,
 
 
 def _uniforms(lo: float, hi: float, shots: int, seed: int) -> np.ndarray:
-    """``shots`` uniform variates scaled into the captured mass [lo, hi]."""
-    return _generator(seed).random(shots) * (hi - lo) + lo
+    """``shots`` uniform variates scaled into the captured mass [lo, hi], in place."""
+    u = _generator(seed).random(shots)
+    u *= hi - lo
+    u += lo
+    return u
 
 
 def sample_quadrature(v: FockVector, theta: float, shots: int, seed: int) -> MeasurementRecord:
@@ -127,6 +133,7 @@ def sample_quadrature(v: FockVector, theta: float, shots: int, seed: int) -> Mea
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValidationError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
+    check_angle(theta)
     inverse, lo, hi = _inverse_cdf(v, theta)
     u = _uniforms(lo, hi, shots, seed)
     order = np.argsort(u)
@@ -178,6 +185,7 @@ def empirical_crossover(pairs: tuple[PairBuilder, PairBuilder], theta: float,
     """
     if not 2 <= shots <= MAX_SHOTS:
         raise ValidationError(f"shots must be in [2, {MAX_SHOTS}], got {shots}")
+    check_angle(theta)
     counter = 0
 
     def h(p: float) -> float:
@@ -191,7 +199,8 @@ def empirical_crossover(pairs: tuple[PairBuilder, PairBuilder], theta: float,
                     inverses[spec] = _inverse_cdf(build_state(spec), theta)
                 inverse, u_lo, u_hi = inverses[spec]
                 u = _uniforms(u_lo, u_hi, shots, _child_seed(seed, counter, i, j))
-                outcomes.append(inverse(np.sort(u)))
+                u.sort()
+                outcomes.append(inverse(u))
             values.append(w1_empirical(*outcomes))
         counter += 1
         return values[0] - values[1]

@@ -550,12 +550,23 @@ def mean_photon_number(v: FockVector) -> float:
     return float(np.sum(np.arange(len(v.amplitudes)) * v.probabilities))
 
 
+def check_angle(theta: float) -> None:
+    """Reject a non-finite angle or one beyond +-2**53 rad.
+
+    Beyond 2**53 neighbouring doubles are 2 rad apart, so the angle no longer
+    names a phase, and ``theta * n`` overflows for the largest doubles.
+    """
+    if not abs(theta) <= 2.0**53:
+        raise ValidationError(f"angle must be finite and within +-2**53, got {theta}")
+
+
 def quadrature_variance(v: FockVector, theta: float) -> float:
     """Variance of the rotated quadrature (a^dag e^{i theta} + a e^{-i theta})/sqrt(2).
 
     Evaluated from the tridiagonal/pentadiagonal Fock matrix elements; the
     vacuum gives 1/2 in this convention.
     """
+    check_angle(theta)
     c = v.amplitudes
     n = np.arange(len(c))
     nbar = float(np.sum(n * v.probabilities))

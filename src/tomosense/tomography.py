@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GridTooNarrow, NumericalError, ValidationError
-from .states import FockVector, mean_photon_number
+from .states import FockVector, check_angle, mean_photon_number
 
 MAX_HERMITE_INDEX = 512
 MAX_ABSCISSA = 50.0
@@ -156,6 +156,7 @@ def quadrature_amplitude(v: FockVector, theta: float, x):
 
 
 def _rotated_coefficients(v: FockVector, theta: float) -> np.ndarray:
+    check_angle(theta)
     if theta == 0.0:
         return v.amplitudes
     n = np.arange(v.cutoff + 1)

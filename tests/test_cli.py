@@ -2,6 +2,8 @@ import filecmp
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -394,6 +396,51 @@ def test_csv_numbers_roundtrip_doubles(tmp_path):
     rows = out.read_text().strip().splitlines()[1:]
     for row, expected in zip(rows, table.columns[0][1]):
         assert float(row.split(",")[1]) == expected
+
+
+# ---------------------------------------------------------------------------
+# cold start
+# ---------------------------------------------------------------------------
+
+# run in a fresh interpreter: prints, as JSON, which of scipy.interpolate and
+# scipy.optimize are loaded after the import, after the exact subcommands and
+# after one sample, and the SHA-256 of that sample's CSV
+COLD_START_SCRIPT = """
+import hashlib, json, os, sys
+from tomosense import cli
+
+outdir = sys.argv[1]
+loaded = lambda: [m for m in ("scipy.interpolate", "scipy.optimize") if m in sys.modules]
+report = {"import": loaded()}
+for argv in (["w1", "--b-m", "1", "--out", os.path.join(outdir, "w1.json")],
+             ["tomogram", "--theta-count", "16", "--out", os.path.join(outdir, "t.pgm")],
+             ["reproduce", "--outdir", os.path.join(outdir, "run"), "--steps", "3",
+              "--theta-count", "16", "--empirical", "0"]):
+    assert cli.main(argv) == 0, argv
+report["exact"] = loaded()
+sample = os.path.join(outdir, "sample.csv")
+assert cli.main(["sample", "--m", "1", "--shots", "1000", "--seed", "7", "--theta", "pi/4",
+                 "--out", sample]) == 0
+report["sample"] = loaded()
+with open(sample, "rb") as fh:
+    report["sha256"] = hashlib.sha256(fh.read()).hexdigest()
+print(json.dumps(report))
+"""
+SAMPLE_CSV_SHA256 = "6d19ab6992713684653cfde13de88f29f4f39f98549da8b18a9c15f9ce04cf65"
+
+
+def test_cold_start_loads_scipy_interpolate_only_to_sample(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["import"] == []
+    assert report["exact"] == []
+    assert "scipy.interpolate" in report["sample"]
+    assert report["sha256"] == SAMPLE_CSV_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 from scipy.stats import chi2_contingency
 
-from tomosense.errors import MultipleRootsWarning, ValidationError
+from tomosense.errors import MultipleRootsWarning, TomosenseError, ValidationError
 from tomosense import homodyne
 from tomosense.homodyne import (
     SAMPLING_GRID_POINTS,
@@ -22,10 +22,10 @@ from tomosense.homodyne import (
     sample_quadrature,
     state_pair,
 )
-from tomosense.states import SqueezeParams, build_state, build_svs_family
+from tomosense.states import SqueezeParams, build_state, build_svs_family, quadrature_variance
 from tomosense.transport import CrossoverResult
 from tomosense.tomography import auto_grid, pdf_slice
-from tomosense.transport import w1_cdf, w1_empirical
+from tomosense.transport import w1_cdf, w1_empirical, w1_states
 
 from conftest import EDGE_DOUBLES, doubles, svs_spec
 
@@ -250,6 +250,42 @@ def test_empirical_crossover_near_exact_location():
     res = empirical_crossover(pairs, 0.0, (0.30, 0.60), 10**4, 31415, scan_points=12)
     assert res.found
     assert res.location == pytest.approx(0.4407, abs=0.1)
+
+
+# ---------------------------------------------------------------------------
+# angle bound at the library boundary
+# ---------------------------------------------------------------------------
+
+def _crossover_values(theta, shots):
+    pairs = (state_pair(svs_spec(), svs_spec(m=1)), state_pair(svs_spec(), svs_spec(m=2)))
+    res = empirical_crossover(pairs, theta, (0.30, 0.60), shots, 1, scan_points=2,
+                              param_tol=0.05)
+    return [res.residual] + ([res.location] if res.found else [])
+
+
+# each call returns the floats it computed
+ANGLE_CALLS = {
+    "quadrature_variance": lambda v, theta, shots: [quadrature_variance(v, theta)],
+    "pdf_slice": lambda v, theta, shots: pdf_slice(v, theta, auto_grid(v, n_points=64)).cdf,
+    "w1_states": lambda v, theta, shots: [
+        w1_states(svs_spec(0.3), svs_spec(0.3, m=1), theta, n_points=64)],
+    "sample_quadrature": lambda v, theta, shots: sample_quadrature(v, theta, shots, 1).samples,
+    "empirical_crossover": lambda v, theta, shots: _crossover_values(theta, shots),
+}
+
+
+@given(call=st.sampled_from(sorted(ANGLE_CALLS)),
+       theta=st.sampled_from(EDGE_DOUBLES + (1e308, -1e308, 2.0**53 + 2, -(2.0**53 + 2))),
+       shots=st.integers(2, 1000))
+@settings(max_examples=60, deadline=None)
+def test_library_angles_end_finite_or_in_a_tomosense_error(call, theta, shots):
+    v = build_state(svs_spec(0.3))
+    try:
+        values = ANGLE_CALLS[call](v, theta, shots)
+    except TomosenseError:
+        assert not abs(theta) <= 2.0**53
+        return
+    assert np.all(np.isfinite(values))
 
 
 # ---------------------------------------------------------------------------
