@@ -43,6 +43,7 @@ from .states import (
 )
 from .tomography import (
     QuadratureGrid,
+    _csv,
     auto_grid,
     pdf_slice,
     tomogram,
@@ -240,12 +241,9 @@ def _parse_delta(token: str) -> int:
 
 def _handle_state(cfg: dict) -> bytes:
     v = build_state(_state_spec(cfg))
-    lines = ["n,re,im,prob"]
-    lines.extend(
-        f"{n},{c.real:.17g},{c.imag:.17g},{p:.17g}"
-        for n, (c, p) in enumerate(zip(v.amplitudes, v.probabilities))
-    )
-    return ("\n".join(lines) + "\n").encode()
+    amps = v.amplitudes
+    return _csv("n,re,im,prob", [np.arange(len(amps)), amps.real, amps.imag,
+                                 v.probabilities]).encode()
 
 
 def _handle_observables(cfg: dict) -> bytes:
@@ -263,12 +261,7 @@ def _handle_observables(cfg: dict) -> bytes:
 def _handle_slice(cfg: dict) -> bytes:
     v = build_state(_state_spec(cfg))
     sl = pdf_slice(v, cfg["theta"], _grid_for(cfg, v))
-    lines = ["x,pdf,cdf"]
-    lines.extend(
-        f"{x:.17g},{p:.17g},{c:.17g}"
-        for x, p, c in zip(sl.grid.points(), sl.pdf, sl.cdf)
-    )
-    return ("\n".join(lines) + "\n").encode()
+    return _csv("x,pdf,cdf", [sl.grid.points(), sl.pdf, sl.cdf]).encode()
 
 
 def _handle_tomogram(cfg: dict) -> bytes:

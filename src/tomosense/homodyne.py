@@ -90,10 +90,6 @@ def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(seed),) + key)
 
 
-def _generator(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed, *key)))
-
-
 def _child_seed(seed: int, *key: int) -> int:
     return int(_seed_sequence(seed, *key).generate_state(1, np.uint64)[0])
 
@@ -116,7 +112,7 @@ def _inverse_cdf(v: FockVector, theta: float) -> tuple[Callable, float, float]:
 
 def _uniforms(lo: float, hi: float, shots: int, seed: int) -> np.ndarray:
     """``shots`` uniform variates scaled into the captured mass [lo, hi], in place."""
-    u = _generator(seed).random(shots)
+    u = np.random.Generator(np.random.Philox(_seed_sequence(seed))).random(shots)
     u *= hi - lo
     u += lo
     return u

@@ -256,59 +256,46 @@ def build_svs_family(p: SqueezeParams, m: int, tail_tol: float = DEFAULT_TAIL_TO
     one-photon addition, so ``m = -1`` returns the ``m = +1`` amplitudes
     (index-wise identical; literal evaluation of the subtracted series only
     differs by the global phase ``-e^{i phi}``).
+
+    Both directions are one series over ``n >= max(0, ceil(-m/2))`` on
+    ``|2n+m>``; only the log magnitude of a term and the closed-form norm
+    depend on the sign of ``m``.
     """
-    if m < 0:
-        if p.r == 0.0:
-            raise SubtractFromVacuum(
-                f"cannot subtract {-m} photon(s) from the vacuum (r = 0 makes the norm vanish)"
-            )
-        if m == -1:
-            return build_svs_family(p, 1, tail_tol)
-        return _svs_subtracted(p, -m, tail_tol)
-    return _svs_added(p, m, tail_tol)
-
-
-def _svs_added(p: SqueezeParams, m: int, tail_tol: float) -> FockVector:
+    if m < 0 and p.r == 0.0:
+        raise SubtractFromVacuum(
+            f"cannot subtract {-m} photon(s) from the vacuum (r = 0 makes the norm vanish)"
+        )
+    if m == -1:
+        m = 1
     t = math.tanh(p.r)
-    if t == 0.0:
-        if m > CUTOFF_CAP:  # the state is |m>; any r > 0 addition above the cap fails too
+    if t == 0.0:  # r = 0 with m >= 0: the state is |m>
+        if m > CUTOFF_CAP:  # any r > 0 addition above the cap fails too
             raise TruncationFailure(f"|{m}> is above the cutoff cap {CUTOFF_CAP}")
         amps = np.zeros(m + 1, dtype=np.complex128)
         amps[m] = 1.0
         return FockVector(amps, m, 0.0)
     log_t = math.log(t)
     ln2 = math.log(2.0)
-
-    def log_mag(n):
-        return 0.5 * gammaln(2 * n + m + 1) - n * ln2 - gammaln(n + 1) + n * log_t
-
-    idx, lm, ph, tail = _run_series(
-        log_mag, lambda n: 2 * n + m, lambda n: _series_phase(n, p.phi), tail_tol,
-        f"{m}-photon-added SVS at r={p.r:g}", ratio_limit=t * t,
-    )
-    log_norm = _log_norm_added(p.r, m)
-    vec = _finish(idx, lm, ph, tail, log_norm)
-    _check_tail(vec, tail_tol, f"{m}-photon-added SVS at r={p.r:g}")
-    return vec
-
-
-def _svs_subtracted(p: SqueezeParams, m: int, tail_tol: float) -> FockVector:
-    t = math.tanh(p.r)
-    log_t = math.log(t)
-    ln2 = math.log(2.0)
-    n0 = (m + 1) // 2  # smallest n with 2n >= m
-    what = f"{m}-photon-subtracted SVS at r={p.r:g}"
+    n0 = max(0, (1 - m) // 2)  # smallest n with 2n + m >= 0
 
     def log_mag(k):
         n = n0 + k
+        if m >= 0:
+            return 0.5 * gammaln(2 * n + m + 1) - n * ln2 - gammaln(n + 1) + n * log_t
         return gammaln(2 * n + 1) - n * ln2 - gammaln(n + 1) \
-            - 0.5 * gammaln(2 * n - m + 1) + n * log_t
+            - 0.5 * gammaln(2 * n + m + 1) + n * log_t
 
+    what = (f"{m}-photon-added" if m >= 0 else f"{-m}-photon-subtracted") + f" SVS at r={p.r:g}"
     idx, lm, ph, tail = _run_series(
-        log_mag, lambda k: 2 * (n0 + k) - m, lambda k: _series_phase(n0 + k, p.phi), tail_tol,
+        log_mag, lambda k: 2 * (n0 + k) + m, lambda k: _series_phase(n0 + k, p.phi), tail_tol,
         what, ratio_limit=t * t,
     )
-    log_norm = _log_closed_norm(_subtracted_norm_closed(p.r, m), what) if m <= 3 else None
+    if m >= 0:
+        log_norm = _log_norm_added(p.r, m)
+    elif m >= -3:
+        log_norm = _log_closed_norm(_subtracted_norm_closed(p.r, -m), what)
+    else:
+        log_norm = None
     vec = _finish(idx, lm, ph, tail, log_norm)
     _check_tail(vec, tail_tol, what)
     return vec
@@ -420,7 +407,7 @@ def build_cat_family(kind: str, p: CatParams, m_add: int = 0,
         amps[m_add] = 1.0
         return FockVector(amps, m_add, 0.0)
     log_a = math.log(mag)
-    arg = cmath.phase(alpha)
+    arg = math.atan2(alpha.imag, alpha.real)  # cmath.phase raises when this underflows
     # term n carries alpha^j / sqrt(j!) with the power j = step * n + start
     step, start = {"coherent": (1, 0), "odd": (2, 1), "even": (2, 0)}[kind]
 

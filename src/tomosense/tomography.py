@@ -38,13 +38,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GridTooNarrow, NumericalError, ValidationError
-from .states import FockVector, check_angle, mean_photon_number
+from .states import CUTOFF_CAP, FockVector, check_angle, mean_photon_number
 
-MAX_HERMITE_INDEX = 512
 MAX_ABSCISSA = 50.0
 DEFAULT_GRID_POINTS = 2048
 MAX_GRID_POINTS = 2**15  # held table at the capped cutoff: 513 x 4 x 2**15 x 8 B = 0.54 GB
-MAX_THETA_COUNT = 4 * MAX_HERMITE_INDEX  # a 2048 x 2**15 tomogram is no larger
+MAX_THETA_COUNT = 4 * CUTOFF_CAP  # a 2048 x 2**15 tomogram is no larger
 
 _ROW_NORM_TOL = 1e-8     # |integral of a tomogram row - 1|
 _SYMMETRY_TOL = 1e-10    # |w(x, theta + pi) - w(-x, theta)|
@@ -355,6 +354,18 @@ def count_interior_zeros(v: FockVector, theta: float, grid: QuadratureGrid) -> i
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------
+
+def _csv(header: str, columns: Sequence[np.ndarray]) -> str:
+    """CSV text: ``header``, then row i of ``columns`` per line, 17 digits.
+
+    One ``%.17g`` template covers every cell (``'%.17g' % v == f"{v:.17g}"``
+    for every double, and for an integer column below 2**53); a NaN cell
+    is an empty field.
+    """
+    rows = np.column_stack(columns).tolist()
+    template = "".join(",".join("" if v != v else "%.17g" for v in row) + "\n" for row in rows)
+    return header + "\n" + template % tuple(v for row in rows for v in row if v == v)
+
 
 def tomogram_csv(tg: Tomogram) -> str:
     """CSV text with header ``theta,x,w``, row-major theta then x, 17 digits.

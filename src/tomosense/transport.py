@@ -35,6 +35,7 @@ from .tomography import (
     DEFAULT_GRID_POINTS,
     DistributionSlice,
     HermiteTables,
+    _csv,
     auto_grid,
     pdf_slices,
 )
@@ -377,7 +378,7 @@ def w1_empirical(samples_a, samples_b) -> float:
     Equal-size inputs use the order-statistics form, the mean absolute
     difference of sorted samples.  Unequal sizes fall back to the exact
     integral of the absolute difference of the two step CDFs.  Samples must
-    be 1-D and finite.  An input already in non-decreasing order (a record from
+    be 1-D and finite, and close enough that the W1 sum fits in a double.  An input already in non-decreasing order (a record from
     ``empirical_crossover``) is used as it is; sorting it would return the
     same values.  The inputs are never modified.
     """
@@ -389,6 +390,12 @@ def w1_empirical(samples_a, samples_b) -> float:
         raise EmptySamples(f"need at least 2 samples per side, got {len(a)} and {len(b)}")
     if not (np.isfinite(a[[0, -1]]).all() and np.isfinite(b[[0, -1]]).all()):
         raise ValidationError("samples must be finite")
+    # each |a_i - b_i| and each step between merged samples is at most the
+    # span, and the order-statistics sum adds len(a) such terms
+    span = max(float(a[-1]), float(b[-1])) - min(float(a[0]), float(b[0]))
+    terms = len(a) if len(a) == len(b) else 1
+    if math.isinf(span * terms):
+        raise ValidationError("samples spread too wide: their W1 sum overflows a double")
     if len(a) == len(b):
         return float(np.mean(np.abs(a - b)))
     merged = np.concatenate([a, b])
@@ -405,13 +412,7 @@ def w1_empirical(samples_a, samples_b) -> float:
 def sweep_csv(table: SweepTable) -> str:
     """CSV text: header ``param,<label>,...``; NaN cells become empty fields."""
     header = ",".join(["param"] + [label for label, _ in table.columns])
-    lines = [header]
-    for i, p in enumerate(table.parameter_values):
-        cells = [f"{p:.17g}"]
-        for _, col in table.columns:
-            cells.append("" if math.isnan(col[i]) else f"{col[i]:.17g}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv(header, [table.parameter_values] + [col for _, col in table.columns])
 
 
 def crossover_json(result: CrossoverResult, extra: dict | None = None) -> str:

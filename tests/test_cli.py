@@ -199,6 +199,12 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli("slice", "--family", "svs", "--r", 0.9, "--theta", "pi/2",
                    "--grid-halfwidth", 3, "--out", tmp_path / "x.csv") == 3
     assert run_cli("state") == 2  # --out missing
+    # a phase that underflows to 0 builds the real-alpha state, not a traceback
+    assert run_cli("state", "--family", "cat-even", "--alpha-re", 3, "--alpha-im", 5e-324,
+                   "--out", tmp_path / "tiny_phase.csv") == 0
+    assert run_cli("state", "--family", "cat-even", "--alpha-re", 3,
+                   "--out", tmp_path / "real.csv") == 0
+    assert (tmp_path / "tiny_phase.csv").read_bytes() == (tmp_path / "real.csv").read_bytes()
     with pytest.raises(SystemExit) as exc:
         run_cli("state", "--no-such-flag")
     assert exc.value.code == 2

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import gammaln
@@ -12,6 +12,8 @@ from tomosense import states
 from tomosense.errors import (
     AnnihilatedToZero,
     SubtractFromVacuum,
+    TomosenseError,
+    TruncationFailure,
     UnsupportedAddition,
     ValidationError,
 )
@@ -23,6 +25,7 @@ from tomosense.states import (
     StateSpec,
     apply_ladder,
     build_cat_family,
+    build_state,
     build_svs_family,
     janus_exponential,
     mean_photon_number,
@@ -31,7 +34,7 @@ from tomosense.states import (
     two_photon_raising_matrix,
 )
 
-from conftest import align_global_phase
+from conftest import align_global_phase, doubles
 
 TIGHT = 1e-26  # tail tolerance for coefficient-level oracle comparisons
 
@@ -384,3 +387,112 @@ def test_cat_power_form_matches_per_kind_closures():
                 want = _cat_with_closures_per_kind(kind, CatParams(alpha).alpha, m_add)
                 assert np.array_equal(got.amplitudes, want.amplitudes), (kind, m_add, alpha)
                 assert got.discarded_mass == want.discarded_mass, (kind, m_add, alpha)
+
+
+def _svs_with_builder_per_direction(p, m, tail_tol=DEFAULT_TAIL_TOL):
+    """Reference squeezed-vacuum builder with one series for addition and one
+    for subtraction; the single series in ``build_svs_family`` must match it
+    bit for bit, and raise the same exceptions with the same messages."""
+    if m < 0:
+        if p.r == 0.0:
+            raise SubtractFromVacuum(
+                f"cannot subtract {-m} photon(s) from the vacuum (r = 0 makes the norm vanish)"
+            )
+        if m == -1:
+            return _svs_with_builder_per_direction(p, 1, tail_tol)
+        return _svs_subtracted(p, -m, tail_tol)
+    return _svs_added(p, m, tail_tol)
+
+
+def _svs_added(p, m, tail_tol):
+    t = math.tanh(p.r)
+    if t == 0.0:
+        if m > states.CUTOFF_CAP:
+            raise TruncationFailure(f"|{m}> is above the cutoff cap {states.CUTOFF_CAP}")
+        amps = np.zeros(m + 1, dtype=np.complex128)
+        amps[m] = 1.0
+        return FockVector(amps, m, 0.0)
+    log_t = math.log(t)
+    ln2 = math.log(2.0)
+
+    def log_mag(n):
+        return 0.5 * gammaln(2 * n + m + 1) - n * ln2 - gammaln(n + 1) + n * log_t
+
+    what = f"{m}-photon-added SVS at r={p.r:g}"
+    idx, lm, ph, tail = states._run_series(
+        log_mag, lambda n: 2 * n + m, lambda n: states._series_phase(n, p.phi), tail_tol,
+        what, ratio_limit=t * t,
+    )
+    vec = states._finish(idx, lm, ph, tail, states._log_norm_added(p.r, m))
+    states._check_tail(vec, tail_tol, what)
+    return vec
+
+
+def _svs_subtracted(p, m, tail_tol):
+    t = math.tanh(p.r)
+    log_t = math.log(t)
+    ln2 = math.log(2.0)
+    n0 = (m + 1) // 2
+    what = f"{m}-photon-subtracted SVS at r={p.r:g}"
+
+    def log_mag(k):
+        n = n0 + k
+        return gammaln(2 * n + 1) - n * ln2 - gammaln(n + 1) \
+            - 0.5 * gammaln(2 * n - m + 1) + n * log_t
+
+    idx, lm, ph, tail = states._run_series(
+        log_mag, lambda k: 2 * (n0 + k) - m, lambda k: states._series_phase(n0 + k, p.phi),
+        tail_tol, what, ratio_limit=t * t,
+    )
+    log_norm = states._log_closed_norm(states._subtracted_norm_closed(p.r, m), what) \
+        if m <= 3 else None
+    vec = states._finish(idx, lm, ph, tail, log_norm)
+    states._check_tail(vec, tail_tol, what)
+    return vec
+
+
+def _outcome(build, *args):
+    """A built vector, or the type and message of the exception it raised."""
+    try:
+        return build(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def test_svs_single_series_matches_builder_per_direction():
+    for r in (0.0, 1e-300, 1e-8, 0.01, 0.1, 0.5, 1.0 / math.sqrt(2.0), 1.0, 2.0):
+        for phi in (0.0, 0.3, 2.5):
+            p = SqueezeParams(r, phi)
+            for m in range(-6, 7):
+                got = _outcome(build_svs_family, p, m)
+                want = _outcome(_svs_with_builder_per_direction, p, m)
+                if isinstance(want, tuple):
+                    assert got == want, (r, phi, m)
+                    continue
+                assert isinstance(got, FockVector), (r, phi, m, got)
+                assert np.array_equal(got.amplitudes, want.amplitudes), (r, phi, m)
+                assert got.discarded_mass == want.discarded_mass, (r, phi, m)
+
+
+# edge doubles for every float field and photon changes far beyond any cutoff
+HUGE_DELTAS = (2**53, -(2**53), 2**64, -(2**64), 10**30, -(10**30))
+
+
+@given(family=st.sampled_from(states.FAMILIES), r=doubles, phi=doubles,
+       alpha_re=doubles, alpha_im=doubles, tail_tol=doubles,
+       m=st.one_of(st.sampled_from(HUGE_DELTAS), st.integers(-4, 4)))
+@example(family="cat-even", r=0.5, phi=0.0, alpha_re=3.0, alpha_im=5e-324, tail_tol=1e-12, m=0)
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_state_spec_builds_a_unit_vector_or_raises_a_tomosense_error(
+        family, r, phi, alpha_re, alpha_im, tail_tol, m):
+    try:
+        if family == "svs":
+            params = SqueezeParams(r, phi)
+        else:
+            params = CatParams(complex(alpha_re, alpha_im))
+        v = build_state(StateSpec(family, params, m, tail_tol))
+    except TomosenseError:
+        return
+    assert np.all(np.isfinite(v.amplitudes))
+    assert abs(np.linalg.norm(v.amplitudes) - 1.0) <= 1e-9

@@ -409,6 +409,27 @@ def test_tomogram_csv_odd_theta_count_matches_per_line_formatting():
     assert tomogram_csv(tg) == per_line_tomogram_csv(tg)
 
 
+def per_cell_csv(header, columns):
+    """Reference copy of the one-f-string-per-cell CSV formatter (NaN -> empty)."""
+    lines = [header]
+    for row in zip(*columns):
+        lines.append(",".join("" if math.isnan(v) else f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.lists(
+    st.lists(doubles, min_size=n, max_size=n), min_size=1, max_size=4)))
+@settings(max_examples=100, deadline=None)
+def test_csv_template_matches_per_cell_formatting(columns):
+    columns = [np.array(c) for c in columns]
+    columns[0][:len(EDGE_DOUBLES)] = EDGE_DOUBLES[:len(columns[0])]
+    assert tomography._csv("a,b", columns) == per_cell_csv("a,b", columns)
+    # an integer index column prints as f"{n}" does, as the state CSV's did
+    rows = per_cell_csv("a,b", columns).splitlines()[1:]
+    want = "n,a,b\n" + "".join(f"{n},{row}\n" for n, row in enumerate(rows))
+    assert tomography._csv("n,a,b", [np.arange(len(rows))] + columns) == want
+
+
 def test_tomogram_pgm_structure(default_r):
     v = build_svs_family(SqueezeParams(default_r), 0)
     tg = tomogram(v, 16, QuadratureGrid(-12.0, 12.0, 128))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -456,6 +457,28 @@ def test_w1_empirical_ignores_input_order(a, b, equal_size, rnd):
         assert w1_empirical(x, y) == expected
         assert np.array_equal(x, x_before) and np.array_equal(y, y_before)
     assert np.array_equal(a_sorted, np.sort(a)) and np.array_equal(b_sorted, np.sort(b))
+
+
+BIGGEST = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("a,b", [([-BIGGEST, 0.0], [BIGGEST, BIGGEST]),
+                                 ([-BIGGEST, 0.0, 1.0], [BIGGEST, BIGGEST]),
+                                 ([0.0, 0.0], [BIGGEST, BIGGEST])])
+def test_w1_empirical_rejects_samples_whose_w1_overflows(a, b):
+    # equal sizes, unequal sizes, and a span that fits but a sum that does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValidationError, match="overflows"):
+                w1_empirical(x, y)
+
+
+def test_w1_empirical_keeps_a_wide_but_finite_step_integral():
+    # unequal sizes add each merged step at most once, so a span of the
+    # largest double still has a finite W1
+    value = w1_empirical([0.0, 0.0, 1.0], [BIGGEST, BIGGEST])
+    assert value == pytest.approx(BIGGEST, rel=1e-15)
 
 
 def test_w1_empirical_unequal_counts_matches_scipy():
