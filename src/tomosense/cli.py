@@ -221,8 +221,7 @@ def _state_spec(cfg: dict, prefix: str = "") -> StateSpec:
 
 def _grid_for(cfg: dict, v) -> QuadratureGrid:
     if cfg["grid-halfwidth"] is not None:
-        return QuadratureGrid(-cfg["grid-halfwidth"], cfg["grid-halfwidth"],
-                              cfg["grid-points"])
+        return QuadratureGrid(cfg["grid-halfwidth"], cfg["grid-points"])
     return auto_grid(v, n_points=cfg["grid-points"])
 
 
@@ -326,7 +325,7 @@ def _handle_empirical_crossover(cfg: dict) -> bytes:
         cfg["theta"], (cfg["lo"], cfg["hi"]), cfg["shots"], cfg["seed"],
         scan_points=cfg["scan-points"],
     )
-    return crossover_json(result, extra={"low_confidence": result.low_confidence}).encode()
+    return crossover_json(result).encode()
 
 
 HANDLERS = {

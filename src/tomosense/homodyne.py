@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ValidationError
 from .states import FockVector, StateSpec, build_state, check_angle
 from .tomography import auto_grid, pdf_slice
-from .transport import CrossoverResult, _scan_and_bisect, w1_empirical
+from .transport import PARAM_TOL, CrossoverResult, _scan_and_bisect, w1_empirical
 
 SAMPLING_GRID_POINTS = 8192
 MAX_SHOTS = 10**8  # 0.8 GB of float64 outcomes per record, before any sort or CSV text
@@ -44,19 +44,18 @@ _RECORD_HEADER = struct.Struct("<8sdQQ")
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Quadrature outcomes for one local-oscillator phase."""
+    """Quadrature outcomes for one local-oscillator phase; ``shots`` counts them."""
 
     theta: float
     samples: np.ndarray
     seed: int
-    shots: int
+    shots: int = field(init=False)
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        if len(arr) != self.shots:
-            raise ValidationError("sample count does not match shots")
+        object.__setattr__(self, "shots", len(arr))
         _check_seed(self.seed)
 
 
@@ -97,7 +96,7 @@ def _child_seed(seed: int, *key: int) -> int:
 def _inverse_cdf(v: FockVector, theta: float) -> tuple[Callable, float, float]:
     """Monotone (PCHIP) inverse of the exact slice CDF and its captured mass [lo, hi].
 
-    Flat CDF stretches are dropped so the interpolation nodes strictly increase.
+    CDF steps of at most 1e-100 are dropped: flat ones, and ones whose PCHIP slopes overflow.
     scipy.interpolate is imported here, not at module level, because it is
     most of the start-up time of a process that never samples.
     """
@@ -105,7 +104,7 @@ def _inverse_cdf(v: FockVector, theta: float) -> tuple[Callable, float, float]:
 
     grid = auto_grid(v, n_points=SAMPLING_GRID_POINTS)
     sl = pdf_slice(v, theta, grid)
-    keep = np.concatenate([[True], np.diff(sl.cdf) > 0])
+    keep = np.concatenate([[True], np.diff(sl.cdf) > 1e-100])
     cdf = sl.cdf[keep]
     return PchipInterpolator(cdf, grid.points()[keep]), cdf[0], cdf[-1]
 
@@ -135,7 +134,7 @@ def sample_quadrature(v: FockVector, theta: float, shots: int, seed: int) -> Mea
     order = np.argsort(u)
     x = np.empty(shots)
     x[order] = inverse(u[order])
-    return MeasurementRecord(theta, x, int(seed), shots)
+    return MeasurementRecord(theta, x, int(seed))
 
 
 def histogram_tomogram(v: FockVector, theta_count: int, bins: int,
@@ -161,7 +160,7 @@ def histogram_tomogram(v: FockVector, theta_count: int, bins: int,
 
 def empirical_crossover(pairs: tuple[PairBuilder, PairBuilder], theta: float,
                         bracket: tuple[float, float], shots: int, seed: int,
-                        scan_points: int = 64, param_tol: float = 1e-4) -> CrossoverResult:
+                        scan_points: int = 64) -> CrossoverResult:
     """Crossover search where every W1 comes from sampled records.
 
     ``pairs`` maps a parameter value to the (reference, comparison) specs of
@@ -175,9 +174,9 @@ def empirical_crossover(pairs: tuple[PairBuilder, PairBuilder], theta: float,
 
     The search is the exact one's (MultipleRootsWarning on several sign
     changes) with no residual target, stopping once a midpoint bisects a cell
-    narrower than ``2 * param_tol``.  A scan cell exactly
-    ``2**k * 2 * param_tol`` wide gets one more halving than a stop at
-    ``half <= param_tol`` would give.
+    narrower than ``2 * PARAM_TOL``.  A scan cell exactly
+    ``2**k * 2 * PARAM_TOL`` wide gets one more halving than a stop at
+    ``half <= PARAM_TOL`` would give.
     """
     if not 2 <= shots <= MAX_SHOTS:
         raise ValidationError(f"shots must be in [2, {MAX_SHOTS}], got {shots}")
@@ -201,7 +200,7 @@ def empirical_crossover(pairs: tuple[PairBuilder, PairBuilder], theta: float,
         counter += 1
         return values[0] - values[1]
 
-    result = _scan_and_bisect(h, bracket, scan_points, 2.0 * param_tol)
+    result = _scan_and_bisect(h, bracket, scan_points, 2.0 * PARAM_TOL, math.inf)
     lo, hi = bracket
     return replace(result, low_confidence=3.0 / math.sqrt(shots) > 0.1 * (hi - lo))
 
@@ -233,6 +232,7 @@ def record_bytes(record: MeasurementRecord) -> bytes:
 
 
 def record_from_bytes(blob: bytes) -> MeasurementRecord:
+    """Parse ``record_bytes`` output, rejecting a bad angle or a non-finite sample."""
     if len(blob) < _RECORD_HEADER.size:
         raise ValidationError(
             f"measurement record needs a {_RECORD_HEADER.size}-byte header, got {len(blob)} bytes")
@@ -242,4 +242,7 @@ def record_from_bytes(blob: bytes) -> MeasurementRecord:
     samples = np.frombuffer(blob[_RECORD_HEADER.size:], dtype="<f8")
     if len(samples) != shots:
         raise ValidationError("truncated measurement record")
-    return MeasurementRecord(theta, samples.copy(), int(seed), int(shots))
+    check_angle(theta)
+    if not np.all(np.isfinite(samples)):
+        raise ValidationError("measurement record holds a non-finite sample")
+    return MeasurementRecord(theta, samples.copy(), int(seed))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import eval_legendre, gammaln, logsumexp
@@ -89,7 +89,7 @@ class FockVector:
     """
 
     amplitudes: np.ndarray
-    cutoff: int
+    cutoff: int = field(init=False)
     discarded_mass: float
 
     def __post_init__(self):
@@ -130,8 +130,7 @@ class StateSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if abs(self.photon_delta) > MAX_PHOTON_DELTA:
-            raise ValidationError(f"photon_delta must be within +-2**53, got {self.photon_delta}")
+        _check_series_bounds(self.photon_delta, self.tail_tol)
         if self.family == "svs":
             if not isinstance(self.params, SqueezeParams):
                 raise ValidationError("svs needs SqueezeParams")
@@ -149,8 +148,6 @@ class StateSpec:
                 raise UnsupportedAddition(
                     f"{self.family} supports photon_delta in {allowed}, got {self.photon_delta}"
                 )
-        if not (0 < self.tail_tol < 1):
-            raise ValidationError("tail_tol must be in (0, 1)")
 
     def label(self) -> str:
         base = {"svs": "svs", "cat-even": "ecs", "cat-odd": "ocs", "coherent": "coh"}[self.family]
@@ -166,6 +163,14 @@ class StateSpec:
         if self.family == "svs":
             return replace(self, params=replace(self.params, r=float(value)))
         return replace(self, params=CatParams(complex(value)))
+
+
+def _check_series_bounds(m: int, tail_tol: float) -> None:
+    """Reject a photon change beyond +-2**53 or a tail tolerance outside (0, 1)."""
+    if abs(m) > MAX_PHOTON_DELTA:
+        raise ValidationError(f"photon_delta must be within +-2**53, got {m}")
+    if not (0 < tail_tol < 1):
+        raise ValidationError("tail_tol must be in (0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +198,7 @@ def _finish(indices, log_mags, phases, tail_bound, log_norm_closed=None) -> Fock
     coeffs = mags / math.sqrt(kept) * np.asarray(phases, dtype=np.complex128)
     amps = np.zeros(max(indices) + 1, dtype=np.complex128)
     amps[np.asarray(indices)] = coeffs
-    return FockVector(amps, len(amps) - 1, discarded)
+    return FockVector(amps, discarded)
 
 
 def _series_phase(n: int, phi: float) -> complex:
@@ -261,6 +266,7 @@ def build_svs_family(p: SqueezeParams, m: int, tail_tol: float = DEFAULT_TAIL_TO
     ``|2n+m>``; only the log magnitude of a term and the closed-form norm
     depend on the sign of ``m``.
     """
+    _check_series_bounds(m, tail_tol)
     if m < 0 and p.r == 0.0:
         raise SubtractFromVacuum(
             f"cannot subtract {-m} photon(s) from the vacuum (r = 0 makes the norm vanish)"
@@ -273,7 +279,7 @@ def build_svs_family(p: SqueezeParams, m: int, tail_tol: float = DEFAULT_TAIL_TO
             raise TruncationFailure(f"|{m}> is above the cutoff cap {CUTOFF_CAP}")
         amps = np.zeros(m + 1, dtype=np.complex128)
         amps[m] = 1.0
-        return FockVector(amps, m, 0.0)
+        return FockVector(amps, 0.0)
     log_t = math.log(t)
     ln2 = math.log(2.0)
     n0 = max(0, (1 - m) // 2)  # smallest n with 2n + m >= 0
@@ -356,7 +362,7 @@ def normalization_constant(kind: str, m: int, p: SqueezeParams, method: str = "c
     raise ValidationError(f"kind must be 'added' or 'subtracted', got {kind!r}")
 
 
-def _norm_series(r: float, m: int, added: bool, rel_tol: float = 1e-16) -> float:
+def _norm_series(r: float, m: int, added: bool) -> float:
     t = math.tanh(r)
     if t == 0.0:
         return math.factorial(m) if added else 0.0
@@ -371,7 +377,7 @@ def _norm_series(r: float, m: int, added: bool, rel_tol: float = 1e-16) -> float
             lg = 2 * (gammaln(2 * n + 1) - n * ln2 - gammaln(n + 1)) \
                 + n * log_t2 - gammaln(2 * n - m + 1)
         terms.append(lg)
-        if len(terms) > 3 and lg < max(terms) + math.log(rel_tol) - 0.5 * abs(math.log1p(-t * t)) - 20:
+        if len(terms) > 3 and lg < max(terms) + math.log(1e-16) - 0.5 * abs(math.log1p(-t * t)) - 20:
             break
         n += 1
         if n > 50_000:  # pragma: no cover
@@ -396,6 +402,7 @@ def build_cat_family(kind: str, p: CatParams, m_add: int = 0,
     """
     if kind not in ("even", "odd", "coherent"):
         raise ValidationError(f"kind must be even/odd/coherent, got {kind!r}")
+    _check_series_bounds(m_add, tail_tol)
     if m_add not in (0, 1, 2) or (kind != "even" and m_add != 0):
         raise UnsupportedAddition(f"no expansion for {m_add} photon(s) added to the {kind} state")
     alpha = p.alpha
@@ -405,7 +412,7 @@ def build_cat_family(kind: str, p: CatParams, m_add: int = 0,
             raise ValidationError("odd cat is undefined at alpha = 0 (zero vector)")
         amps = np.zeros(m_add + 1, dtype=np.complex128)
         amps[m_add] = 1.0
-        return FockVector(amps, m_add, 0.0)
+        return FockVector(amps, 0.0)
     log_a = math.log(mag)
     arg = math.atan2(alpha.imag, alpha.real)  # cmath.phase raises when this underflows
     # term n carries alpha^j / sqrt(j!) with the power j = step * n + start
@@ -454,7 +461,7 @@ def _log_norm_cat(kind: str, mag: float, m_add: int) -> float:
 # janus exponential
 # ---------------------------------------------------------------------------
 
-def janus_exponential(f: float, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVector:
+def janus_exponential(f: float) -> FockVector:
     """Normalized ``exp(f G)|0>`` with ``G = a^dag^2 (1 + a^dag a)^{-1}``.
 
     Built literally: ``G`` is applied repeatedly to the vacuum and the
@@ -477,8 +484,8 @@ def janus_exponential(f: float, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVecto
         term_sq = float(nxt[-1] ** 2)  # G^j|0> is a single basis vector scaled
         total = math.fsum(norms_sq)
         ratio = (2.0 * f) ** 2 / ((2 * j + 1) * (2 * j + 2))
-        if term_sq < tail_tol * total and ratio < 1.0 \
-                and term_sq * ratio / (1.0 - ratio) < tail_tol * total:
+        if term_sq < DEFAULT_TAIL_TOL * total and ratio < 1.0 \
+                and term_sq * ratio / (1.0 - ratio) < DEFAULT_TAIL_TOL * total:
             break
         terms.append(nxt)
         norms_sq.append(term_sq)
@@ -490,7 +497,7 @@ def janus_exponential(f: float, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVecto
     amps = np.zeros(2 * (width - 1) + 1, dtype=np.complex128)
     amps[::2] = acc
     tail = term_sq * (1.0 + ratio / (1.0 - ratio)) / math.fsum(norms_sq)
-    return FockVector(amps, len(amps) - 1, tail)
+    return FockVector(amps, tail)
 
 
 def two_photon_raising_matrix(dim: int) -> np.ndarray:
@@ -529,7 +536,7 @@ def apply_ladder(v: FockVector, direction: str, times: int = 1) -> FockVector:
     norm = np.linalg.norm(amps)
     if norm == 0.0 or len(amps) == 0:
         raise AnnihilatedToZero("lowering produced the zero vector")
-    return FockVector(amps / norm, len(amps) - 1, v.discarded_mass)
+    return FockVector(amps / norm, v.discarded_mass)
 
 
 def mean_photon_number(v: FockVector) -> float:

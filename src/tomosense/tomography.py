@@ -56,9 +56,8 @@ _GL_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Uniform symmetric grid of quadrature values."""
+    """Uniform grid of quadrature values on [-x_max, x_max]."""
 
-    x_min: float
     x_max: float
     n_points: int
 
@@ -66,8 +65,8 @@ class QuadratureGrid:
         if not 64 <= self.n_points <= MAX_GRID_POINTS:
             raise ValidationError(
                 f"n_points must be in [64, {MAX_GRID_POINTS}], got {self.n_points}")
-        if not (self.x_max > 0 and self.x_min == -self.x_max):
-            raise ValidationError("grid must be symmetric: x_max > 0 and x_min == -x_max")
+        if not self.x_max > 0:
+            raise ValidationError(f"grid half-width must be > 0, got {self.x_max}")
 
     @property
     def spacing(self) -> float:
@@ -80,11 +79,7 @@ class QuadratureGrid:
 
     def union(self, other: "QuadratureGrid") -> "QuadratureGrid":
         """Smallest symmetric grid covering both operands (order-independent)."""
-        return QuadratureGrid(
-            -max(self.x_max, other.x_max),
-            max(self.x_max, other.x_max),
-            max(self.n_points, other.n_points),
-        )
+        return QuadratureGrid(max(self.x_max, other.x_max), max(self.n_points, other.n_points))
 
 
 @dataclass(frozen=True)
@@ -177,7 +172,7 @@ def auto_grid(v: FockVector, n_points: int = DEFAULT_GRID_POINTS) -> QuadratureG
                4.0 * math.sqrt(2.0 * nbar + 1.0),
                math.sqrt(2.0 * v.cutoff + 1.0) + 5.0)
     half = min(half, MAX_ABSCISSA)
-    return QuadratureGrid(-half, half, n_points)
+    return QuadratureGrid(half, n_points)
 
 
 def pdf_slice(v: FockVector, theta: float, grid: QuadratureGrid) -> DistributionSlice:
@@ -187,22 +182,19 @@ def pdf_slice(v: FockVector, theta: float, grid: QuadratureGrid) -> Distribution
     probability.  The CDF is clipped to 1 and is nondecreasing by
     construction (cell increments are integrals of a nonnegative function).
     """
-    return pdf_slices([v], theta, grid)[0]
+    return pdf_slices([v], [theta], grid)[0][0]
 
 
-def pdf_slices(vectors: Sequence[FockVector], theta: float | Sequence[float],
+def pdf_slices(vectors: Sequence[FockVector], thetas: Sequence[float],
                grid: QuadratureGrid, tables: HermiteTables | None = None
-               ) -> list[DistributionSlice] | list[list[DistributionSlice]]:
-    """Slices of several states at one or several thetas on one shared grid.
+               ) -> list[list[DistributionSlice]]:
+    """Slices of several states at several thetas on one shared grid.
 
-    A single ``theta`` gives ``[pdf_slice(v, theta, grid) for v in vectors]``,
-    byte for byte; a sequence of thetas gives that list for each theta in
-    turn.  Each abscissa set gets a single Hermite table at the largest
+    Each theta gives ``[pdf_slice(v, theta, grid) for v in vectors]``, byte
+    for byte.  Each abscissa set gets a single Hermite table at the largest
     cutoff, which every (theta, state) reads by row prefix; the tables come
     from ``tables`` when one is given, else are built one at a time.
     """
-    single = np.ndim(theta) == 0
-    thetas = [theta] if single else list(theta)
     n_max = max(v.cutoff for v in vectors)
     coeffs = [[_rotated_coefficients(v, t) for v in vectors] for t in thetas]
     if tables is None:
@@ -239,7 +231,7 @@ def pdf_slices(vectors: Sequence[FockVector], theta: float | Sequence[float],
                 )
             slices.append(DistributionSlice(grid, t, pdf, np.minimum(cdf, 1.0)))
         per_theta.append(slices)
-    return per_theta[0] if single else per_theta
+    return per_theta
 
 
 def _abscissae(grid: QuadratureGrid) -> list[np.ndarray]:

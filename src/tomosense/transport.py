@@ -48,6 +48,10 @@ W1Curve = Callable[[float, float], float]
 # np.linspace allocates it.
 MAX_PARAMETER_POINTS = 2**15
 
+PARAM_TOL = 1e-4
+RESIDUAL_TOL = 1e-6
+MAX_BISECTIONS = 200
+
 
 def check_parameter_points(count: int, what: str) -> None:
     """Reject a sweep step or scan point count outside [2, MAX_PARAMETER_POINTS]."""
@@ -57,7 +61,7 @@ def check_parameter_points(count: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """W1 values per comparison state over an ascending parameter list.
+    """W1 values per comparison state over a finite ascending parameter list.
 
     ``columns`` pairs a label with one value per parameter; cells where the
     comparison state does not exist (for example photon subtraction at
@@ -70,8 +74,8 @@ class SweepTable:
 
     def __post_init__(self):
         vals = np.asarray(self.parameter_values, dtype=float)
-        if np.any(np.diff(vals) <= 0):
-            raise ValidationError("parameter values must be strictly increasing")
+        if not (np.all(np.isfinite(vals)) and np.all(np.diff(vals) > 0)):
+            raise ValidationError("parameter values must be finite and strictly increasing")
         vals.setflags(write=False)
         object.__setattr__(self, "parameter_values", vals)
         cols = []
@@ -97,7 +101,7 @@ class CrossoverResult:
     residual: float
     scan_points: int
     sign_changes: int = 0
-    low_confidence: bool = False
+    low_confidence: bool | None = None  # None for an exact search
 
 
 def w1_cdf(a: DistributionSlice, b: DistributionSlice) -> float:
@@ -220,16 +224,16 @@ def sweep_w1(reference: StateSpec, comparisons: Sequence[StateSpec],
 
     The swept parameter is the squeezing magnitude for the squeezed family
     and the (real) coherent amplitude for the cat families; all templates
-    must agree on which one is being swept.  A comparison state that cannot
-    be built at some parameter value leaves a NaN cell instead of aborting.
+    must agree on which one is being swept.  A state that does not exist at a
+    valid parameter (subtraction at r = 0) leaves a NaN cell instead of aborting.
     A sequence of thetas gives one table per theta, each equal to its
     one-theta sweep; every parameter value then builds its states once for
     all angles, and the sweep's one ``HermiteTables`` holder rebuilds its
     tables only when a pair needs a new grid or more rows.
     """
     lo, hi, steps = parameter_range
-    if not (lo < hi):
-        raise ValidationError("sweep range needs lo < hi")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValidationError("sweep range needs finite lo < hi")
     check_parameter_points(steps, "sweep steps")
     swept = "r" if reference.family == "svs" else "alpha"
     for spec in comparisons:
@@ -243,13 +247,14 @@ def sweep_w1(reference: StateSpec, comparisons: Sequence[StateSpec],
     cells = np.full((len(thetas), len(comparisons), steps), np.nan)
     tables = HermiteTables()
     for i, p in enumerate(values):
+        specs = [spec.with_parameter(p) for spec in [reference, *comparisons]]
         try:
-            ref_vec = build_state(reference.with_parameter(p))
+            ref_vec = build_state(specs[0])
         except ValidationError:
             continue
-        for j, cmp_spec in enumerate(comparisons):
+        for j, cmp_spec in enumerate(specs[1:]):
             try:
-                cmp_vec = build_state(cmp_spec.with_parameter(p))
+                cmp_vec = build_state(cmp_spec)
             except ValidationError:
                 continue
             cells[:, j, i] = _w1_pair(ref_vec, cmp_vec, thetas, n_points, tables)
@@ -258,40 +263,32 @@ def sweep_w1(reference: StateSpec, comparisons: Sequence[StateSpec],
 
 
 def find_crossover(curve_a: W1Curve, curve_b: W1Curve, bracket: tuple[float, float],
-                   theta: float, scan_points: int = 64, param_tol: float = 1e-4,
-                   residual_tol: float = 1e-6, max_iter: int = 200) -> CrossoverResult:
+                   theta: float, scan_points: int = 64) -> CrossoverResult:
     """Locate a parameter where two W1 curves against a common reference meet.
 
     A uniform scan brackets sign changes of h(p) = A(p) - B(p); more than one
     sign change raises MultipleRootsWarning and the first is refined.
-    Bisection continues until the bracket is below ``param_tol`` and the
-    residual |h| at the midpoint is below ``residual_tol``, or for at most
-    ``max_iter`` evaluations.
+    Bisection continues until the bracket is below ``PARAM_TOL`` and the
+    residual |h| at the midpoint is below ``RESIDUAL_TOL``, or for at most
+    ``MAX_BISECTIONS`` evaluations.
     """
     return _scan_and_bisect(lambda p: curve_a(p, theta) - curve_b(p, theta), bracket,
-                            scan_points, param_tol, residual_tol, max_iter)
+                            scan_points, PARAM_TOL, RESIDUAL_TOL)
 
 
 def _scan_and_bisect(h: Callable[[float], float], bracket: tuple[float, float],
-                     scan_points: int, width_tol: float, residual_tol: float = math.inf,
-                     max_iter: int = 200) -> CrossoverResult:
+                     scan_points: int, width_tol: float, residual_tol: float) -> CrossoverResult:
     """Scan h for sign changes (warning if there are several) and bisect the first.
 
     Bisection stops after evaluating a midpoint ``mid`` when h(mid) == 0, or
     when the cell ``mid`` bisects is narrower than ``width_tol`` and
-    |h(mid)| < ``residual_tol``, or after ``max_iter`` evaluations; so even a
-    scan cell already below ``width_tol`` reports a finite residual.
+    |h(mid)| < ``residual_tol``, or after ``MAX_BISECTIONS`` evaluations; so
+    even a scan cell already below ``width_tol`` reports a finite residual.
     """
     lo, hi = bracket
     if not (lo < hi):
         raise ValidationError("bracket needs lo < hi")
     check_parameter_points(scan_points, "scan points")
-    if not (width_tol > 0):
-        raise ValidationError("parameter tolerance must be > 0")
-    if not (residual_tol >= 0):
-        raise ValidationError("residual tolerance must be >= 0")
-    if max_iter < 1:
-        raise ValidationError("bisection needs max_iter >= 1")
     ps = np.linspace(lo, hi, scan_points)
     hs = np.array([h(p) for p in ps])
     changes = np.nonzero(np.diff(np.sign(hs)) != 0)[0]
@@ -307,7 +304,7 @@ def _scan_and_bisect(h: Callable[[float], float], bracket: tuple[float, float],
         )
     a, b = float(ps[changes[0]]), float(ps[changes[0] + 1])
     ha = float(hs[changes[0]])
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (a + b)
         hmid = h(mid)
         if hmid == 0.0 or (b - a < width_tol and abs(hmid) < residual_tol):
@@ -415,8 +412,9 @@ def sweep_csv(table: SweepTable) -> str:
     return _csv(header, [table.parameter_values] + [col for _, col in table.columns])
 
 
-def crossover_json(result: CrossoverResult, extra: dict | None = None) -> str:
-    """JSON record {found, location, bracket_lo, bracket_hi, residual, scan_points}."""
+def crossover_json(result: CrossoverResult) -> str:
+    """JSON record {found, location, bracket_lo, bracket_hi, residual, scan_points},
+    plus ``low_confidence`` when the search set it."""
     record = {
         "found": result.found,
         "location": result.location,
@@ -425,6 +423,6 @@ def crossover_json(result: CrossoverResult, extra: dict | None = None) -> str:
         "residual": result.residual,
         "scan_points": result.scan_points,
     }
-    if extra:
-        record.update(extra)
+    if result.low_confidence is not None:
+        record["low_confidence"] = result.low_confidence
     return json.dumps(record, indent=2) + "\n"

@@ -313,22 +313,38 @@ STATE_VALUES = {
 }
 
 
-@given(subcommand=st.sampled_from(["state", "observables"]),
-       values=st.fixed_dictionaries({}, optional=dict(STATE_VALUES, theta=numbers)))
+DRAWN_VALUES = dict(STATE_VALUES, **{f"b-{key}": s for key, s in STATE_VALUES.items()},
+                    theta=numbers, lo=numbers, hi=numbers)
+# sizes that keep every run cheap; each subcommand takes the ones it has
+CHEAP_SIZES = {"grid-points": "64", "steps": "2", "scan-points": "2", "theta-count": "16",
+               "shots": "1000"}
+JSON_OUTPUTS = ("observables", "w1", "crossover", "empirical-crossover")
+
+
+@given(subcommand=st.sampled_from(sorted(cli.OPTIONS)), data=st.data())
 @settings(max_examples=200, deadline=None)
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_config_files_exit_0_2_3_with_strict_json(subcommand, values):
-    if subcommand == "state":
-        values.pop("theta", None)
+@pytest.mark.filterwarnings("ignore::tomosense.errors.MultipleRootsWarning")
+def test_config_files_exit_0_2_3_with_strict_json(subcommand, data):
+    names = {name for name, _, _ in cli.OPTIONS[subcommand]}
+    values = data.draw(st.fixed_dictionaries(
+        {}, optional={key: s for key, s in DRAWN_VALUES.items() if key in names}))
+    values.update((key, text) for key, text in CHEAP_SIZES.items() if key in names)
     with tempfile.TemporaryDirectory() as outdir:
         cfg = os.path.join(outdir, "run.cfg")
         with open(cfg, "w", encoding="utf-8") as fh:
             fh.writelines(f"{key}={text}\n" for key, text in values.items())
         out = os.path.join(outdir, "out")
-        assert main([subcommand, "--config", cfg, "--out", out]) in (0, 2, 3)
-        if subcommand == "observables" and os.path.exists(out):
-            with open(out, encoding="utf-8") as fh:
-                strict_json(fh.read())
+        target = "--outdir" if subcommand == "reproduce" else "--out"
+        assert main([subcommand, "--config", cfg, target, out]) in (0, 2, 3)
+        if not os.path.isfile(out) or subcommand == "tomogram":  # a PGM by default
+            return
+        with open(out, encoding="utf-8") as fh:
+            text = fh.read()
+        if subcommand in JSON_OUTPUTS:
+            strict_json(text)
+        else:
+            assert "nan" not in text.lower() and "inf" not in text.lower()
 
 
 # angles reach the CLI only through parse_theta, which argparse turns into a
@@ -368,9 +384,18 @@ def test_empirical_crossover_narrow_scan_cell_is_strict_json(tmp_path):
     assert run_cli("empirical-crossover", "--shots", 1000, "--scan-points", 2,
                    "--lo", 0.44, "--hi", 0.44005, "--seed", 3, "--out", out) == 0
     payload = strict_json(out.read_text())
-    assert payload["found"] is True
+    assert payload["found"] is True and payload["low_confidence"] is True
     assert payload["location"] == pytest.approx(0.440025, abs=1e-12)
     assert math.isfinite(payload["residual"])
+
+
+@pytest.mark.parametrize("args,message", [(("--lo", -1, "--hi", 0.5), "squeezing magnitude"),
+                                          (("--hi", "inf"), "sweep range")])
+def test_sweep_outside_the_parameter_domain_exits_2(tmp_path, capsys, args, message):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", *args, "--steps", 3, "--grid-points", 256, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empirical_crossover_needs_two_scan_points(tmp_path, capsys):

@@ -105,10 +105,10 @@ def test_ladder_oracle_matches_closed_form(r, m):
 
 
 def test_ladder_basics():
-    one = apply_ladder(FockVector(np.array([1.0 + 0j]), 0, 0.0), "raise", 1)
+    one = apply_ladder(FockVector(np.array([1.0 + 0j]), 0.0), "raise", 1)
     assert one.amplitudes[1] == 1.0
     with pytest.raises(AnnihilatedToZero):
-        apply_ladder(FockVector(np.array([1.0 + 0j]), 0, 0.0), "lower", 1)
+        apply_ladder(FockVector(np.array([1.0 + 0j]), 0.0), "lower", 1)
     with pytest.raises(ValidationError):
         apply_ladder(one, "sideways", 1)
 
@@ -411,7 +411,7 @@ def _svs_added(p, m, tail_tol):
             raise TruncationFailure(f"|{m}> is above the cutoff cap {states.CUTOFF_CAP}")
         amps = np.zeros(m + 1, dtype=np.complex128)
         amps[m] = 1.0
-        return FockVector(amps, m, 0.0)
+        return FockVector(amps, 0.0)
     log_t = math.log(t)
     ln2 = math.log(2.0)
 
@@ -478,10 +478,21 @@ def test_svs_single_series_matches_builder_per_direction():
 HUGE_DELTAS = (2**53, -(2**53), 2**64, -(2**64), 10**30, -(10**30))
 
 
+def _build_directly(family, params, m, tail_tol):
+    if family == "svs":
+        return build_svs_family(params, m, tail_tol)
+    return build_cat_family(states._CAT_KIND[family], params, m, tail_tol)
+
+
+# each state is built through a StateSpec and by calling its family builder
 @given(family=st.sampled_from(states.FAMILIES), r=doubles, phi=doubles,
        alpha_re=doubles, alpha_im=doubles, tail_tol=doubles,
        m=st.one_of(st.sampled_from(HUGE_DELTAS), st.integers(-4, 4)))
 @example(family="cat-even", r=0.5, phi=0.0, alpha_re=3.0, alpha_im=5e-324, tail_tol=1e-12, m=0)
+@example(family="svs", r=0.5, phi=0.0, alpha_re=1.0, alpha_im=0.0, tail_tol=0.0, m=1)
+@example(family="cat-even", r=0.5, phi=0.0, alpha_re=1.0, alpha_im=0.0, tail_tol=0.0, m=0)
+@example(family="svs", r=0.5, phi=0.0, alpha_re=1.0, alpha_im=0.0, tail_tol=-1.0, m=1)
+@example(family="svs", r=0.5, phi=0.0, alpha_re=1.0, alpha_im=0.0, tail_tol=1e-12, m=-2**70)
 @settings(max_examples=300, deadline=None)
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_state_spec_builds_a_unit_vector_or_raises_a_tomosense_error(
@@ -491,8 +502,12 @@ def test_state_spec_builds_a_unit_vector_or_raises_a_tomosense_error(
             params = SqueezeParams(r, phi)
         else:
             params = CatParams(complex(alpha_re, alpha_im))
-        v = build_state(StateSpec(family, params, m, tail_tol))
     except TomosenseError:
         return
-    assert np.all(np.isfinite(v.amplitudes))
-    assert abs(np.linalg.norm(v.amplitudes) - 1.0) <= 1e-9
+    for build in (lambda *args: build_state(StateSpec(*args)), _build_directly):
+        try:
+            v = build(family, params, m, tail_tol)
+        except TomosenseError:
+            continue
+        assert np.all(np.isfinite(v.amplitudes))
+        assert abs(np.linalg.norm(v.amplitudes) - 1.0) <= 1e-9

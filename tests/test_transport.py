@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm, wasserstein_distance
 
-from tomosense.errors import EmptySamples, GridMismatch, MultipleRootsWarning, ValidationError
+from tomosense.errors import (
+    EmptySamples,
+    GridMismatch,
+    MultipleRootsWarning,
+    TomosenseError,
+    ValidationError,
+)
 from tomosense.states import CatParams, StateSpec, build_state, mean_photon_number
 from tomosense.tomography import (
     DEFAULT_GRID_POINTS,
@@ -34,7 +40,7 @@ from tomosense.transport import (
     w1_states,
 )
 
-from conftest import ecs_spec, ocs_spec, svs_spec
+from conftest import doubles, ecs_spec, ocs_spec, svs_spec
 
 VAC_SVS_05 = 0.22199130323553978  # (1 - e^{-1/2}) / sqrt(pi)
 
@@ -54,7 +60,7 @@ def test_w1_of_identical_slices_is_zero():
 
 
 def test_w1_grid_mismatch():
-    g1, g2 = QuadratureGrid(-8, 8, 2048), QuadratureGrid(-9, 9, 2048)
+    g1, g2 = QuadratureGrid(8, 2048), QuadratureGrid(9, 2048)
     with pytest.raises(GridMismatch):
         w1_cdf(gaussian_slice(1.0, g1), gaussian_slice(1.0, g2))
 
@@ -62,7 +68,7 @@ def test_w1_grid_mismatch():
 @pytest.mark.parametrize("sigmas", [(0.7071, 0.4289), (1.0, 0.5), (0.3, 1.7)])
 def test_w1_gaussian_scale_identity(sigmas):
     """Analytic oracle: W1 of zero-mean Gaussians is |s1 - s2| sqrt(2/pi)."""
-    grid = QuadratureGrid(-14.0, 14.0, 2048)
+    grid = QuadratureGrid(14.0, 2048)
     got = w1_cdf(gaussian_slice(sigmas[0], grid), gaussian_slice(sigmas[1], grid))
     assert got == pytest.approx(abs(sigmas[0] - sigmas[1]) * math.sqrt(2 / math.pi), abs=1e-6)
 
@@ -259,6 +265,13 @@ def test_sweep_w1_holder_equals_per_set_per_cell_pairs():
             assert np.array_equal(got, want, equal_nan=True)
 
 
+@pytest.mark.parametrize("values", [[0.0, math.nan, 1.0], [0.0, math.inf], [0.5, 0.5],
+                                    [1.0, 0.0]])
+def test_sweep_table_needs_finite_increasing_parameters(values):
+    with pytest.raises(ValidationError):
+        SweepTable("r", values, [])
+
+
 def test_sweep_rejects_mixed_parameters():
     with pytest.raises(ValidationError):
         sweep_w1(svs_spec(), [ecs_spec()], (0.3, 0.8, 5), 0.0)
@@ -343,21 +356,6 @@ def test_multiple_roots_flagged_not_fatal():
     assert res == written_out_find_crossover(curve_a, curve_b, (0.0, 1.0), 0.0)
 
 
-def test_crossover_rejects_non_positive_or_nan_param_tol():
-    curve_a = lambda p, theta: p  # noqa: E731
-    curve_b = lambda p, theta: 0.5  # noqa: E731
-    for tol in (math.nan, -1.0, 0.0):
-        with pytest.raises(ValidationError):
-            find_crossover(curve_a, curve_b, (0.0, 1.0), 0.0, param_tol=tol)
-    with pytest.raises(ValidationError):
-        find_crossover(curve_a, curve_b, (0.0, 1.0), 0.0, max_iter=0)
-    for tol in (math.nan, -1.0):
-        with pytest.raises(ValidationError):
-            find_crossover(curve_a, curve_b, (0.0, 1.0), 0.0, residual_tol=tol)
-    res = find_crossover(curve_a, curve_b, (0.0, 1.0), 0.0, residual_tol=math.inf)
-    assert res.found and res.location == pytest.approx(0.5, abs=1e-4)
-
-
 def test_crossover_json_record():
     curve_a = w1_curve(svs_spec(), svs_spec(m=1))
     curve_b = w1_curve(svs_spec(), svs_spec(m=2))
@@ -429,6 +427,18 @@ def test_w1_empirical_translation_exact(values, shift):
     a = np.array(values, dtype=float) / 32.0
     c = float(shift)
     assert w1_empirical(a, a + c) == abs(c)
+
+
+@given(st.lists(doubles, max_size=50), st.lists(doubles, max_size=50))
+@settings(max_examples=300, deadline=None)
+def test_w1_empirical_ends_finite_or_in_a_tomosense_error(a, b):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = w1_empirical(a, b)
+    except TomosenseError:
+        return
+    assert math.isfinite(value) and value >= 0.0
 
 
 @pytest.mark.parametrize("a", [1.0, [[0.0, 1.0], [2.0, 3.0]]])
