@@ -29,7 +29,6 @@ from .homodyne import (
     empirical_crossover,
     histogram_tomogram,
     record_bytes,
-    record_csv,
     record_from_bytes,
     sample_quadrature,
     state_pair,
@@ -60,17 +59,13 @@ from .tomography import (
     pdf_slices,
     quadrature_amplitude,
     tomogram,
-    tomogram_csv,
-    tomogram_pgm,
 )
 from .transport import (
     CrossoverResult,
     SweepTable,
-    crossover_json,
     equal_mean_alpha,
     equal_mean_parameter,
     find_crossover,
-    sweep_csv,
     sweep_w1,
     w1_cdf,
     w1_curve,

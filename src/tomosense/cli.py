@@ -7,6 +7,9 @@ next to a ``<out>.meta`` sidecar holding the fully resolved configuration;
 rerunning a subcommand with ``--config <out>.meta`` regenerates the output
 byte for byte.
 
+The CSV, JSON and PGM formats of every result are defined here and nowhere
+else; the binary measurement record stays in ``homodyne`` with its parser.
+
 Exit codes: 0 success, 2 validation/usage error, 3 numerical failure.
 """
 
@@ -20,15 +23,16 @@ import re
 import sys
 import tempfile
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
 from . import __version__
 from .errors import NumericalError, ValidationError
 from .homodyne import (
+    MeasurementRecord,
     empirical_crossover,
     record_bytes,
-    record_csv,
     sample_quadrature,
     state_pair,
 )
@@ -41,23 +45,14 @@ from .states import (
     mean_photon_number,
     quadrature_variance,
 )
-from .tomography import (
-    QuadratureGrid,
-    _csv,
-    auto_grid,
-    pdf_slice,
-    tomogram,
-    tomogram_csv,
-    tomogram_pgm,
-)
+from .tomography import QuadratureGrid, Tomogram, auto_grid, pdf_slice, tomogram
 from .transport import (
+    CrossoverResult,
     SweepTable,
     check_parameter_points,
-    crossover_json,
     equal_mean_alpha,
     equal_mean_parameter,
     find_crossover,
-    sweep_csv,
     sweep_w1,
     w1_curve,
     w1_states,
@@ -235,6 +230,80 @@ def _parse_delta(token: str) -> int:
 
 
 # ---------------------------------------------------------------------------
+# exports: the CSV, JSON and PGM form of every result
+# ---------------------------------------------------------------------------
+
+def _json(payload: dict) -> str:
+    """JSON text indented by two spaces, with a final newline."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv(header: str, columns: Sequence[np.ndarray]) -> str:
+    """CSV text: ``header``, then row i of ``columns`` per line, 17 digits.
+
+    One ``%.17g`` template covers every cell (``'%.17g' % v == f"{v:.17g}"``
+    for every double, and for an integer column below 2**53); a NaN cell
+    is an empty field.
+    """
+    rows = np.column_stack(columns).tolist()
+    template = "".join(",".join("" if v != v else "%.17g" for v in row) + "\n" for row in rows)
+    return header + "\n" + template % tuple(v for row in rows for v in row if v == v)
+
+
+def tomogram_csv(tg: Tomogram) -> str:
+    """CSV text with header ``theta,x,w``, row-major theta then x, 17 digits.
+
+    The x column is formatted once into ``",x,%.17g\\n"`` cells; joined by a
+    row's theta text they make that row's template, which ``%`` fills from
+    the row (``'%.17g' % v == f"{v:.17g}"`` for every double).
+    """
+    cells = [""] + [f",{x:.17g},%.17g\n" for x in tg.x_grid.points()]
+    rows = [f"{theta:.17g}".join(cells) % tuple(row.tolist())
+            for theta, row in zip(tg.theta_grid.tolist(), tg.values)]
+    return "".join(["theta,x,w\n"] + rows)
+
+
+def tomogram_pgm(tg: Tomogram) -> bytes:
+    """Binary PGM (P5, maxval 255); rows = theta ascending, columns = x ascending.
+
+    Intensity is scaled to the per-tomogram maximum.
+    """
+    peak = float(tg.values.max())
+    scaled = np.zeros_like(tg.values) if peak == 0 else tg.values / peak * 255.0
+    pixels = np.rint(scaled).astype(np.uint8)
+    header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
+    return header + pixels.tobytes()
+
+
+def sweep_csv(table: SweepTable) -> str:
+    """CSV text: header ``param,<label>,...``; NaN cells become empty fields."""
+    header = ",".join(["param"] + [label for label, _ in table.columns])
+    return _csv(header, [table.parameter_values] + [col for _, col in table.columns])
+
+
+def crossover_json(result: CrossoverResult) -> str:
+    """JSON record {found, location, bracket_lo, bracket_hi, residual, scan_points},
+    plus ``low_confidence`` when the search set it."""
+    record = {
+        "found": result.found,
+        "location": result.location,
+        "bracket_lo": result.bracket[0],
+        "bracket_hi": result.bracket[1],
+        "residual": result.residual,
+        "scan_points": result.scan_points,
+    }
+    if result.low_confidence is not None:
+        record["low_confidence"] = result.low_confidence
+    return _json(record)
+
+
+def record_csv(record: MeasurementRecord) -> str:
+    """CSV text with header ``theta,x``, one row per shot, 17 digits."""
+    template = "theta,x\n" + f"{record.theta:.17g},%.17g\n" * record.shots
+    return template % tuple(record.samples.tolist())
+
+
+# ---------------------------------------------------------------------------
 # subcommand handlers: cfg -> bytes payload for cfg["out"]
 # ---------------------------------------------------------------------------
 
@@ -254,7 +323,7 @@ def _handle_observables(cfg: dict) -> bytes:
         "cutoff": v.cutoff,
         "discarded_mass": v.discarded_mass,
     }
-    return (json.dumps(payload, indent=2) + "\n").encode()
+    return _json(payload).encode()
 
 
 def _handle_slice(cfg: dict) -> bytes:
@@ -274,7 +343,7 @@ def _handle_tomogram(cfg: dict) -> bytes:
 def _handle_w1(cfg: dict) -> bytes:
     value = w1_states(_state_spec(cfg), _state_spec(cfg, "b-"), cfg["theta"],
                       n_points=cfg["grid-points"])
-    return (json.dumps({"w1": value, "theta": cfg["theta"]}, indent=2) + "\n").encode()
+    return _json({"w1": value, "theta": cfg["theta"]}).encode()
 
 
 def _sweep_tables(cfg: dict, thetas: list[float]) -> list[SweepTable]:
@@ -376,20 +445,20 @@ def _reproduce_tables(cfg: dict, added_theta_0: SweepTable) -> list[tuple[str, b
     outputs = []
     nbar = {m: np.array([mean_photon_number(v) for v in vecs[m]]) for m in range(4)}
     outputs.append(("mean_photon_vs_r.csv", sweep_csv(SweepTable(
-        "r", rs, [(f"nbar_m{m}", nbar[m]) for m in range(4)])).encode()))
+        rs, [(f"nbar_m{m}", nbar[m]) for m in range(4)])).encode()))
 
     w1_cols = []
     for m, (_, w1s) in zip((1, 2, 3), added_theta_0.columns):
         w1_cols += [(f"nbar_add{m}", nbar[m]), (f"w1_add{m}", w1s)]
-    outputs.append(("w1_vs_mean_photon.csv", sweep_csv(SweepTable("r", rs, w1_cols)).encode()))
+    outputs.append(("w1_vs_mean_photon.csv", sweep_csv(SweepTable(rs, w1_cols)).encode()))
 
     var_cols, kappas = [], {}
     for m in (0, 1, 2):
         var = np.array([quadrature_variance(v, 0.0) for v in vecs[m]])
         var_cols.append((f"var_m{m}", var))
         kappas[f"m{m}"] = float(-np.polyfit(rs, np.log(var), 1)[0])
-    outputs.append(("variance_vs_r.csv", sweep_csv(SweepTable("r", rs, var_cols)).encode()))
-    outputs.append(("kappa_fits.json", (json.dumps(kappas, indent=2) + "\n").encode()))
+    outputs.append(("variance_vs_r.csv", sweep_csv(SweepTable(rs, var_cols)).encode()))
+    outputs.append(("kappa_fits.json", _json(kappas).encode()))
 
     ecs = StateSpec("cat-even", CatParams(1.0), 0, tail)
     rs_cat = np.linspace(0.1, 0.8, steps)
@@ -399,7 +468,7 @@ def _reproduce_tables(cfg: dict, added_theta_0: SweepTable) -> list[tuple[str, b
         for r, a in zip(rs_cat, alphas)
     ])
     outputs.append(("w1_svs_ecs_equal_mean.csv", sweep_csv(SweepTable(
-        "r", rs_cat, [("alpha", alphas), ("w1_svs_vs_ecs", w1_ecs)])).encode()))
+        rs_cat, [("alpha", alphas), ("w1_svs_vs_ecs", w1_ecs)])).encode()))
 
     ocs = StateSpec("cat-odd", CatParams(1.0), 0, tail)
     ecs1 = StateSpec("cat-even", CatParams(1.0), 1, tail)
@@ -411,7 +480,7 @@ def _reproduce_tables(cfg: dict, added_theta_0: SweepTable) -> list[tuple[str, b
             cols[label].append(w1_states(svs(1).with_parameter(r),
                                          template.with_parameter(a), 0.0, n_points=points))
     outputs.append(("w1_add1_vs_cats_equal_mean.csv", sweep_csv(SweepTable(
-        "r", rs_cat, [(k, np.array(v)) for k, v in cols.items()])).encode()))
+        rs_cat, [(k, np.array(v)) for k, v in cols.items()])).encode()))
     return outputs
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .states import FockVector, StateSpec, build_state, check_angle
-from .tomography import auto_grid, pdf_slice
+from .tomography import MAX_GRID_POINTS, MAX_THETA_COUNT, auto_grid, pdf_slice
 from .transport import PARAM_TOL, CrossoverResult, _scan_and_bisect, w1_empirical
 
 SAMPLING_GRID_POINTS = 8192
@@ -144,10 +144,11 @@ def histogram_tomogram(v: FockVector, theta_count: int, bins: int,
     Row streams are independent children of the master seed keyed by the row
     index, so any evaluation order gives the same counts.
     """
-    if bins < 32:
-        raise ValidationError(f"bins must be >= 32, got {bins}")
-    if theta_count < 1:
-        raise ValidationError("theta_count must be >= 1")
+    if not 32 <= bins <= MAX_GRID_POINTS:
+        raise ValidationError(f"bins must be in [32, {MAX_GRID_POINTS}], got {bins}")
+    if not 1 <= theta_count <= MAX_THETA_COUNT:
+        raise ValidationError(
+            f"theta_count must be in [1, {MAX_THETA_COUNT}], got {theta_count}")
     grid = auto_grid(v)
     edges = np.linspace(-grid.x_max, grid.x_max, bins + 1)
     thetas = 2.0 * math.pi * np.arange(theta_count) / theta_count
@@ -215,14 +216,8 @@ def state_pair(reference: StateSpec, comparison: StateSpec) -> PairBuilder:
 
 
 # ---------------------------------------------------------------------------
-# exports
+# binary record format
 # ---------------------------------------------------------------------------
-
-def record_csv(record: MeasurementRecord) -> str:
-    """CSV text with header ``theta,x``, one row per shot, 17 digits."""
-    template = "theta,x\n" + f"{record.theta:.17g},%.17g\n" * record.shots
-    return template % tuple(record.samples.tolist())
-
 
 def record_bytes(record: MeasurementRecord) -> bytes:
     """Binary form: 32-byte header {magic, theta, shots, seed} then little-endian

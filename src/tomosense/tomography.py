@@ -56,7 +56,7 @@ _GL_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Uniform grid of quadrature values on [-x_max, x_max]."""
+    """Uniform grid of quadrature values on [-x_max, x_max], 0 < x_max <= MAX_ABSCISSA."""
 
     x_max: float
     n_points: int
@@ -65,8 +65,9 @@ class QuadratureGrid:
         if not 64 <= self.n_points <= MAX_GRID_POINTS:
             raise ValidationError(
                 f"n_points must be in [64, {MAX_GRID_POINTS}], got {self.n_points}")
-        if not self.x_max > 0:
-            raise ValidationError(f"grid half-width must be > 0, got {self.x_max}")
+        if not 0 < self.x_max <= MAX_ABSCISSA:
+            raise ValidationError(
+                f"grid half-width must be in (0, {MAX_ABSCISSA:g}], got {self.x_max}")
 
     @property
     def spacing(self) -> float:
@@ -341,44 +342,3 @@ def count_interior_zeros(v: FockVector, theta: float, grid: QuadratureGrid) -> i
     amp = (amp * np.conj(lead / abs(lead))).real
     amp = amp[np.abs(amp) > _ZERO_THRESHOLD * np.max(np.abs(amp))]
     return int(np.sum(np.diff(np.sign(amp)) != 0))
-
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-def _csv(header: str, columns: Sequence[np.ndarray]) -> str:
-    """CSV text: ``header``, then row i of ``columns`` per line, 17 digits.
-
-    One ``%.17g`` template covers every cell (``'%.17g' % v == f"{v:.17g}"``
-    for every double, and for an integer column below 2**53); a NaN cell
-    is an empty field.
-    """
-    rows = np.column_stack(columns).tolist()
-    template = "".join(",".join("" if v != v else "%.17g" for v in row) + "\n" for row in rows)
-    return header + "\n" + template % tuple(v for row in rows for v in row if v == v)
-
-
-def tomogram_csv(tg: Tomogram) -> str:
-    """CSV text with header ``theta,x,w``, row-major theta then x, 17 digits.
-
-    The x column is formatted once into ``",x,%.17g\\n"`` cells; joined by a
-    row's theta text they make that row's template, which ``%`` fills from
-    the row (``'%.17g' % v == f"{v:.17g}"`` for every double).
-    """
-    cells = [""] + [f",{x:.17g},%.17g\n" for x in tg.x_grid.points()]
-    rows = [f"{theta:.17g}".join(cells) % tuple(row.tolist())
-            for theta, row in zip(tg.theta_grid.tolist(), tg.values)]
-    return "".join(["theta,x,w\n"] + rows)
-
-
-def tomogram_pgm(tg: Tomogram) -> bytes:
-    """Binary PGM (P5, maxval 255); rows = theta ascending, columns = x ascending.
-
-    Intensity is scaled to the per-tomogram maximum.
-    """
-    peak = float(tg.values.max())
-    scaled = np.zeros_like(tg.values) if peak == 0 else tg.values / peak * 255.0
-    pixels = np.rint(scaled).astype(np.uint8)
-    header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
-    return header + pixels.tobytes()

@@ -21,7 +21,6 @@ both equal-mean matchings share one bisection over an increasing map.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -35,7 +34,6 @@ from .tomography import (
     DEFAULT_GRID_POINTS,
     DistributionSlice,
     HermiteTables,
-    _csv,
     auto_grid,
     pdf_slices,
 )
@@ -59,6 +57,12 @@ def check_parameter_points(count: int, what: str) -> None:
         raise ValidationError(f"{what} must be in [2, {MAX_PARAMETER_POINTS}], got {count}")
 
 
+def _check_range(lo: float, hi: float, what: str) -> None:
+    """Reject a sweep range or crossover bracket that is not a finite lo < hi."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValidationError(f"{what} needs finite lo < hi, got [{lo}, {hi}]")
+
+
 @dataclass(frozen=True)
 class SweepTable:
     """W1 values per comparison state over a finite ascending parameter list.
@@ -68,7 +72,6 @@ class SweepTable:
     r = 0) hold NaN and are emitted as empty CSV fields.
     """
 
-    parameter_name: str
     parameter_values: np.ndarray
     columns: list[tuple[str, np.ndarray]]
 
@@ -232,14 +235,10 @@ def sweep_w1(reference: StateSpec, comparisons: Sequence[StateSpec],
     tables only when a pair needs a new grid or more rows.
     """
     lo, hi, steps = parameter_range
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValidationError("sweep range needs finite lo < hi")
+    _check_range(lo, hi, "sweep range")
     check_parameter_points(steps, "sweep steps")
-    swept = "r" if reference.family == "svs" else "alpha"
-    for spec in comparisons:
-        other = "r" if spec.family == "svs" else "alpha"
-        if other != swept:
-            raise ValidationError("all sweep templates must share the swept parameter")
+    if any((spec.family == "svs") != (reference.family == "svs") for spec in comparisons):
+        raise ValidationError("all sweep templates must share the swept parameter")
     single = np.ndim(theta) == 0
     thetas = [theta] if single else list(theta)
     values = np.linspace(lo, hi, steps)
@@ -258,7 +257,7 @@ def sweep_w1(reference: StateSpec, comparisons: Sequence[StateSpec],
             except ValidationError:
                 continue
             cells[:, j, i] = _w1_pair(ref_vec, cmp_vec, thetas, n_points, tables)
-    sweeps = [SweepTable(swept, values, list(zip(labels, per_theta))) for per_theta in cells]
+    sweeps = [SweepTable(values, list(zip(labels, per_theta))) for per_theta in cells]
     return sweeps[0] if single else sweeps
 
 
@@ -286,8 +285,7 @@ def _scan_and_bisect(h: Callable[[float], float], bracket: tuple[float, float],
     even a scan cell already below ``width_tol`` reports a finite residual.
     """
     lo, hi = bracket
-    if not (lo < hi):
-        raise ValidationError("bracket needs lo < hi")
+    _check_range(lo, hi, "bracket")
     check_parameter_points(scan_points, "scan points")
     ps = np.linspace(lo, hi, scan_points)
     hs = np.array([h(p) for p in ps])
@@ -400,29 +398,3 @@ def w1_empirical(samples_a, samples_b) -> float:
     cdf_a = np.searchsorted(a, merged[:-1], side="right") / len(a)
     cdf_b = np.searchsorted(b, merged[:-1], side="right") / len(b)
     return float(np.sum(np.abs(cdf_a - cdf_b) * np.diff(merged)))
-
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-def sweep_csv(table: SweepTable) -> str:
-    """CSV text: header ``param,<label>,...``; NaN cells become empty fields."""
-    header = ",".join(["param"] + [label for label, _ in table.columns])
-    return _csv(header, [table.parameter_values] + [col for _, col in table.columns])
-
-
-def crossover_json(result: CrossoverResult) -> str:
-    """JSON record {found, location, bracket_lo, bracket_hi, residual, scan_points},
-    plus ``low_confidence`` when the search set it."""
-    record = {
-        "found": result.found,
-        "location": result.location,
-        "bracket_lo": result.bracket[0],
-        "bracket_hi": result.bracket[1],
-        "residual": result.residual,
-        "scan_points": result.scan_points,
-    }
-    if result.low_confidence is not None:
-        record["low_confidence"] = result.low_confidence
-    return json.dumps(record, indent=2) + "\n"

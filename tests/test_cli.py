@@ -22,6 +22,15 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def run_fresh(*args, timeout=60):
+    """Run ``python *args`` in a fresh interpreter that imports this checkout's tomosense."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
 # ---------------------------------------------------------------------------
 # theta parsing
 # ---------------------------------------------------------------------------
@@ -398,6 +407,26 @@ def test_sweep_outside_the_parameter_domain_exits_2(tmp_path, capsys, args, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize("halfwidth,code", [("inf", 2), ("1e308", 2), (60, 2), (50, 0)])
+def test_slice_grid_halfwidth_stays_in_the_hermite_domain(tmp_path, capsys, halfwidth, code):
+    out = tmp_path / "slice.csv"
+    assert run_cli("slice", "--grid-halfwidth", halfwidth, "--grid-points", 64,
+                   "--out", out) == code
+    assert out.exists() == (code == 0)
+    if code == 2:
+        assert "grid half-width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [("crossover",), ("empirical-crossover", "--shots", 10)])
+def test_infinite_bracket_exits_2_naming_the_bracket(tmp_path, args):
+    out = tmp_path / "cross.json"
+    proc = run_fresh("-m", "tomosense.cli", *args, "--hi", "inf", "--out", out)
+    assert proc.returncode == 2
+    assert "bracket needs finite lo < hi" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert not out.exists()
+
+
 def test_empirical_crossover_needs_two_scan_points(tmp_path, capsys):
     out = tmp_path / "cross.json"
     assert run_cli("empirical-crossover", "--scan-points", 0, "--out", out) == 2
@@ -461,17 +490,21 @@ SAMPLE_CSV_SHA256 = "6d19ab6992713684653cfde13de88f29f4f39f98549da8b18a9c15f9ce0
 
 
 def test_cold_start_loads_scipy_interpolate_only_to_sample(tmp_path):
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = run_fresh("-c", COLD_START_SCRIPT, tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["import"] == []
     assert report["exact"] == []
     assert "scipy.interpolate" in report["sample"]
     assert report["sha256"] == SAMPLE_CSV_SHA256
+
+
+def test_module_entry_point_runs_warning_free():
+    # runpy warns when the package has already imported tomosense.cli
+    proc = run_fresh("-W", "error", "-m", "tomosense.cli", "--version")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("tomosense ")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 from scipy.stats import chi2_contingency
 
+from tomosense.cli import record_csv
 from tomosense.errors import MultipleRootsWarning, TomosenseError, ValidationError
 from tomosense import homodyne
 from tomosense.homodyne import (
@@ -18,14 +19,13 @@ from tomosense.homodyne import (
     empirical_crossover,
     histogram_tomogram,
     record_bytes,
-    record_csv,
     record_from_bytes,
     sample_quadrature,
     state_pair,
 )
 from tomosense.states import SqueezeParams, build_state, build_svs_family, quadrature_variance
 from tomosense.transport import CrossoverResult
-from tomosense.tomography import auto_grid, pdf_slice
+from tomosense.tomography import MAX_GRID_POINTS, MAX_THETA_COUNT, auto_grid, pdf_slice
 from tomosense.transport import w1_cdf, w1_empirical, w1_states
 
 from conftest import EDGE_DOUBLES, doubles, ecs_spec, ocs_spec, svs_spec
@@ -198,6 +198,13 @@ def test_histogram_dark_bands_for_two_added(default_r):
 def test_histogram_bins_validation():
     with pytest.raises(ValidationError):
         histogram_tomogram(vacuum(), 4, 16, 100, 1)
+
+
+@pytest.mark.parametrize("theta_count,bins", [(10**12, 64), (16, 10**12),
+                                              (MAX_THETA_COUNT + 1, 64), (16, MAX_GRID_POINTS + 1)])
+def test_histogram_theta_count_and_bins_have_upper_bounds(theta_count, bins):
+    with pytest.raises(ValidationError):
+        histogram_tomogram(vacuum(), theta_count, bins, 10, 1)
 
 
 def test_histogram_consistency_with_exact_pdf():

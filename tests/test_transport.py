@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm, wasserstein_distance
 
+from tomosense.cli import crossover_json, sweep_csv
 from tomosense.errors import (
     EmptySamples,
     GridMismatch,
@@ -28,11 +29,9 @@ from tomosense.transport import (
     CrossoverResult,
     _integrate_abs_difference,
     SweepTable,
-    crossover_json,
     equal_mean_alpha,
     equal_mean_parameter,
     find_crossover,
-    sweep_csv,
     sweep_w1,
     w1_cdf,
     w1_curve,
@@ -138,7 +137,6 @@ def test_w1_svs_vs_ecs_at_equal_mean_photon_increases():
 def test_sweep_shapes_and_decreasing_added_curves():
     table = sweep_w1(svs_spec(), [svs_spec(m=1), svs_spec(m=2), svs_spec(m=3)],
                      (0.3, 0.8, 11), 0.0)
-    assert table.parameter_name == "r"
     assert [label for label, _ in table.columns] == \
         ["svs:svs_add1", "svs:svs_add2", "svs:svs_add3"]
     for _, col in table.columns:
@@ -269,7 +267,21 @@ def test_sweep_w1_holder_equals_per_set_per_cell_pairs():
                                     [1.0, 0.0]])
 def test_sweep_table_needs_finite_increasing_parameters(values):
     with pytest.raises(ValidationError):
-        SweepTable("r", values, [])
+        SweepTable(values, [])
+
+
+@pytest.mark.parametrize("bracket", [(0.3, math.inf), (-math.inf, 0.6), (0.3, math.nan),
+                                     (0.6, 0.3)])
+def test_crossover_needs_a_finite_bracket_before_any_curve_call(bracket):
+    calls = []
+
+    def curve(p, theta):
+        calls.append(p)
+        return 0.0
+
+    with pytest.raises(ValidationError, match="bracket needs finite lo < hi"):
+        find_crossover(curve, curve, bracket, 0.0)
+    assert calls == []
 
 
 def test_sweep_rejects_mixed_parameters():
@@ -499,6 +511,6 @@ def test_w1_empirical_unequal_counts_matches_scipy():
 
 def test_sweep_table_validation():
     with pytest.raises(ValidationError):
-        SweepTable("r", np.array([0.2, 0.1]), [])
+        SweepTable(np.array([0.2, 0.1]), [])
     with pytest.raises(ValidationError):
-        SweepTable("r", np.array([0.1, 0.2]), [("bad", np.array([1.0, -2.0]))])
+        SweepTable(np.array([0.1, 0.2]), [("bad", np.array([1.0, -2.0]))])
