@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import eval_legendre, gammaln, logsumexp
 
 from .errors import (
     AnnihilatedToZero,
@@ -104,8 +103,8 @@ class FockVector:
 
 
 SVS_VALIDATED_DELTA = 3
-# The series read photon counts as float64 (gammaln), exact up to 2**53; numpy
-# cannot convert a count beyond 2**64 at all.
+# The series read photon counts as float64 (_log_factorial), exact up to 2**53;
+# numpy cannot convert a count beyond 2**64 at all.
 MAX_PHOTON_DELTA = 2**53
 CAT_FAMILIES = ("cat-even", "cat-odd", "coherent")
 FAMILIES = ("svs",) + CAT_FAMILIES
@@ -171,6 +170,62 @@ def _check_series_bounds(m: int, tail_tol: float) -> None:
         raise ValidationError(f"photon_delta must be within +-2**53, got {m}")
     if not (0 < tail_tol < 1):
         raise ValidationError("tail_tol must be in (0, 1)")
+
+
+# ---------------------------------------------------------------------------
+# special functions
+# ---------------------------------------------------------------------------
+
+# Stirling-series coefficients of Cephes lgam (S. L. Moshier, Methods and
+# Programs for Mathematical Functions, 1989), the algorithm behind
+# scipy.special.gammaln.
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _cephes_log_factorial(n: int) -> float:
+    """Cephes lgam at x = n + 1: the exact product below 13, above it the
+    Stirling sum with a 5-term correction below 1000, a 3-term one up to 1e8
+    and none beyond."""
+    x = float(n + 1)
+    if x < 13.0:
+        return math.log(math.factorial(n))
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    s = _LGAM_A[0]
+    for a in _LGAM_A[1:]:
+        s = s * p + a
+    return q + s / x
+
+
+# log n! for n <= 2 * CUTOFF_CAP + 4, which covers every n a series with
+# |photon_delta| <= CUTOFF_CAP reads
+_LOG_FACTORIALS = tuple(_cephes_log_factorial(n) for n in range(2 * CUTOFF_CAP + 5))
+
+
+def _log_factorial(n: int) -> float:
+    """log n! for an integer ``n >= 0``: the same double as ``gammaln(n + 1)``."""
+    if n < len(_LOG_FACTORIALS):
+        return _LOG_FACTORIALS[n]
+    return _cephes_log_factorial(n)
+
+
+def _legendre(m: int, c: float) -> float:
+    """Legendre polynomial ``P_m(c)`` for ``c >= 1``: the same double as
+    ``eval_legendre(m, c)``, whose integer-order recurrence this is."""
+    if m == 0:
+        return 1.0
+    d, p = c - 1.0, c
+    for k in range(1, m):
+        d = ((2 * k + 1) / (k + 1)) * (c - 1.0) * p + (k / (k + 1)) * d
+        p += d
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +342,9 @@ def build_svs_family(p: SqueezeParams, m: int, tail_tol: float = DEFAULT_TAIL_TO
     def log_mag(k):
         n = n0 + k
         if m >= 0:
-            return 0.5 * gammaln(2 * n + m + 1) - n * ln2 - gammaln(n + 1) + n * log_t
-        return gammaln(2 * n + 1) - n * ln2 - gammaln(n + 1) \
-            - 0.5 * gammaln(2 * n + m + 1) + n * log_t
+            return 0.5 * _log_factorial(2 * n + m) - n * ln2 - _log_factorial(n) + n * log_t
+        return _log_factorial(2 * n) - n * ln2 - _log_factorial(n) \
+            - 0.5 * _log_factorial(2 * n + m) + n * log_t
 
     what = (f"{m}-photon-added" if m >= 0 else f"{-m}-photon-subtracted") + f" SVS at r={p.r:g}"
     idx, lm, ph, tail = _run_series(
@@ -317,7 +372,7 @@ def _check_tail(vec: FockVector, tail_tol: float, what: str) -> None:
 def _log_norm_added(r: float, m: int) -> float:
     """log of m!(cosh r)^(m+1) P_m(cosh r), the added-series squared norm."""
     c = math.cosh(r)
-    return gammaln(m + 1) + (m + 1) * math.log(c) + math.log(eval_legendre(m, c))
+    return _log_factorial(m) + (m + 1) * math.log(c) + math.log(_legendre(m, c))
 
 
 def _log_closed_norm(norm: float, what: str) -> float:
@@ -345,39 +400,52 @@ def normalization_constant(kind: str, m: int, p: SqueezeParams, method: str = "c
     ``kind="added"`` returns ``m!(cosh r)^(m+1) P_m(cosh r)``;
     ``kind="subtracted"`` returns the polynomial-in-cosh closed form for
     ``m <= 3``.  ``method="series"`` sums the defining series instead, which
-    the tests use as the independent route.
+    the tests use as the independent route.  ``m`` runs over
+    ``1 .. CUTOFF_CAP``, the photon changes a build can reach; a norm beyond
+    the largest double raises ``ValidationError``.
     """
-    if m < 1:
-        raise ValidationError("m must be >= 1")
-    if kind == "added":
-        if method == "closed":
-            return math.exp(_log_norm_added(p.r, m))
-        return _norm_series(p.r, m, added=True)
-    if kind == "subtracted":
-        if p.r == 0.0:
-            raise SubtractFromVacuum("subtracted-state norm vanishes at r = 0")
-        if method == "series" or m > 3:
-            return _norm_series(p.r, m, added=False)
-        return _subtracted_norm_closed(p.r, m)
-    raise ValidationError(f"kind must be 'added' or 'subtracted', got {kind!r}")
+    if not 1 <= m <= CUTOFF_CAP:
+        raise ValidationError(f"m must be in [1, {CUTOFF_CAP}], got {m}")
+    if kind not in ("added", "subtracted"):
+        raise ValidationError(f"kind must be 'added' or 'subtracted', got {kind!r}")
+    if kind == "subtracted" and p.r == 0.0:
+        raise SubtractFromVacuum("subtracted-state norm vanishes at r = 0")
+    try:
+        if kind == "added" and method == "closed":
+            norm = math.exp(_log_norm_added(p.r, m))
+        elif kind == "added" or method == "series" or m > 3:
+            norm = _norm_series(p.r, m, added=kind == "added")
+        else:
+            norm = _subtracted_norm_closed(p.r, m)
+    except OverflowError:  # math.cosh, math.exp and ** raise instead of returning inf
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise ValidationError(f"{kind} norm for m={m} at r={p.r:g} overflows a double")
+    return norm
 
 
 def _norm_series(r: float, m: int, added: bool) -> float:
+    from scipy.special import logsumexp  # the only scipy.special use; builds never reach it
+
     t = math.tanh(r)
     if t == 0.0:
-        return math.factorial(m) if added else 0.0
+        return float(math.factorial(m)) if added else 0.0
+    if t == 1.0:  # the terms then never decrease
+        raise TruncationFailure(f"normalization series diverges: tanh r rounds to 1 at r={r:g}")
     log_t2 = 2.0 * math.log(t)
     ln2 = math.log(2.0)
     terms = []
+    top = -math.inf
     n = 0 if added else (m + 1) // 2
     while True:
         if added:
-            lg = gammaln(2 * n + m + 1) - 2 * n * ln2 - 2 * gammaln(n + 1) + n * log_t2
+            lg = _log_factorial(2 * n + m) - 2 * n * ln2 - 2 * _log_factorial(n) + n * log_t2
         else:
-            lg = 2 * (gammaln(2 * n + 1) - n * ln2 - gammaln(n + 1)) \
-                + n * log_t2 - gammaln(2 * n - m + 1)
+            lg = 2 * (_log_factorial(2 * n) - n * ln2 - _log_factorial(n)) \
+                + n * log_t2 - _log_factorial(2 * n - m)
         terms.append(lg)
-        if len(terms) > 3 and lg < max(terms) + math.log(1e-16) - 0.5 * abs(math.log1p(-t * t)) - 20:
+        top = max(top, lg)
+        if len(terms) > 3 and lg < top + math.log(1e-16) - 0.5 * abs(math.log1p(-t * t)) - 20:
             break
         n += 1
         if n > 50_000:  # pragma: no cover
@@ -420,7 +488,7 @@ def build_cat_family(kind: str, p: CatParams, m_add: int = 0,
 
     def log_mag(n):
         j = step * n + start
-        lm = j * log_a - 0.5 * gammaln(j + 1)
+        lm = j * log_a - 0.5 * _log_factorial(j)
         if m_add:  # a^dag^m_add |j> = sqrt((j + m_add)! / j!) |j + m_add>
             lm += 0.5 * math.log(math.prod(range(j + 1, j + m_add + 1)))
         return lm

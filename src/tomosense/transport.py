@@ -392,7 +392,8 @@ def w1_empirical(samples_a, samples_b) -> float:
     if math.isinf(span * terms):
         raise ValidationError("samples spread too wide: their W1 sum overflows a double")
     if len(a) == len(b):
-        return float(np.mean(np.abs(a - b)))
+        diff = a - b
+        return float(np.mean(np.abs(diff, out=diff)))
     merged = np.concatenate([a, b])
     merged.sort(kind="mergesort")
     cdf_a = np.searchsorted(a, merged[:-1], side="right") / len(a)

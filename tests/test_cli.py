@@ -462,15 +462,15 @@ def test_csv_numbers_roundtrip_doubles(tmp_path):
 # cold start
 # ---------------------------------------------------------------------------
 
-# run in a fresh interpreter: prints, as JSON, which of scipy.interpolate and
-# scipy.optimize are loaded after the import, after the exact subcommands and
-# after one sample, and the SHA-256 of that sample's CSV
+# run in a fresh interpreter: prints, as JSON, which scipy modules (scipy.special,
+# scipy.interpolate, scipy.optimize, ...) are loaded after the import, after the
+# exact subcommands and after one sample, and the SHA-256 of that sample's CSV
 COLD_START_SCRIPT = """
 import hashlib, json, os, sys
 from tomosense import cli
 
 outdir = sys.argv[1]
-loaded = lambda: [m for m in ("scipy.interpolate", "scipy.optimize") if m in sys.modules]
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 report = {"import": loaded()}
 for argv in (["w1", "--b-m", "1", "--out", os.path.join(outdir, "w1.json")],
              ["tomogram", "--theta-count", "16", "--out", os.path.join(outdir, "t.pgm")],

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.special import gammaln
+from scipy.special import eval_legendre, gammaln
 
 from tomosense import states
 from tomosense.errors import (
@@ -193,6 +193,60 @@ def test_norm_series_agrees_with_closed_forms(m, r):
 def test_subtracted_norm_at_r0_raises():
     with pytest.raises(SubtractFromVacuum):
         normalization_constant("subtracted", 2, SqueezeParams(0.0))
+
+
+@pytest.mark.parametrize("kind, m, r, method", [
+    ("added", 400, 3.0, "closed"),  # P_400(cosh 3) overflows to inf
+    ("added", 3, 1e300, "closed"),  # cosh r raises OverflowError
+    ("added", 200, 0.0, "closed"),  # 200! alone overflows
+    ("added", 200, 0.0, "series"),
+    ("added", 3, 1e300, "series"),  # tanh r rounds to 1, the series never converges
+    ("subtracted", 2, 800.0, "closed"),  # cosh(800)**5 raises OverflowError
+    ("added", 0, 0.5, "closed"),
+    ("added", states.CUTOFF_CAP + 1, 0.5, "closed"),  # finite, but no build reaches it
+])
+def test_normalization_constant_outside_its_range_raises(kind, m, r, method):
+    with pytest.raises(TomosenseError):
+        normalization_constant(kind, m, SqueezeParams(r), method)
+
+
+@given(kind=st.sampled_from(("added", "subtracted")), m=st.integers(-2, states.CUTOFF_CAP + 2),
+       r=st.floats(0.0, 1e300))
+@settings(max_examples=100, deadline=None)
+def test_closed_normalization_constant_is_finite_or_raises(kind, m, r):
+    if kind == "subtracted":  # m > 3 has no closed form and sums the series
+        m = min(m, 3)
+    try:
+        norm = normalization_constant(kind, m, SqueezeParams(r))
+    except TomosenseError:
+        return
+    assert math.isfinite(norm) and norm >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# special-function kernels: the same doubles as scipy.special
+# ---------------------------------------------------------------------------
+
+def test_log_factorial_equals_gammaln():
+    table_and_past = np.arange(2 * states.CUTOFF_CAP + 9)
+    sweep = np.arange(200_001)
+    rng = np.random.default_rng(2024)
+    sampled = np.concatenate([
+        rng.integers(0, 2**53, 1000),
+        np.unique((2.0 ** rng.uniform(0, 53, 2000)).astype(np.int64)),
+        [11, 12, 998, 999, 10**8 - 1, 10**8, 2**53 - 1, 2**53],  # branch edges of x = n + 1
+    ])
+    for ns in (table_and_past, sweep, sampled):
+        got = np.array([states._log_factorial(int(n)) for n in ns])
+        assert np.array_equal(got, gammaln(ns + 1))
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-8, 0.1, 0.5, 1.0, 2.0, 3.5, 5.0])
+def test_legendre_equals_eval_legendre(r):
+    c = math.cosh(r)
+    ms = np.arange(states.CUTOFF_CAP + 1)
+    got = np.array([states._legendre(int(m), c) for m in ms])
+    assert np.array_equal(got, eval_legendre(ms, c))
 
 
 # ---------------------------------------------------------------------------
