@@ -22,6 +22,7 @@ import os
 import re
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from typing import Sequence
 
@@ -484,9 +485,46 @@ def _reproduce_tables(cfg: dict, added_theta_0: SweepTable) -> list[tuple[str, b
     return outputs
 
 
-def _product(subcommand: str, cfg: dict) -> tuple[str, bytes, str]:
-    """(output path, payload, ``.meta`` text) of one resolved subcommand run."""
-    return cfg["out"], HANDLERS[subcommand](cfg), _meta_text(subcommand, cfg)
+def _product(subcommand: str, cfg: dict) -> list[tuple[str, bytes, str]]:
+    """[(output path, payload, ``.meta`` text)] of one resolved subcommand run."""
+    return [(cfg["out"], HANDLERS[subcommand](cfg), _meta_text(subcommand, cfg))]
+
+
+def _sweep_panel(cfgs: list[dict], summary_cfg: dict | None) -> list[tuple[str, bytes, str]]:
+    """The (path, payload, ``.meta`` text) triples of one panel's sweeps, one per
+    resolved ``sweep`` config in ``cfgs``, computed as one multi-angle sweep.
+
+    With ``summary_cfg`` (reproduce's own config) the summary tables built
+    from the panel's first table follow.
+    """
+    tables = _sweep_tables(cfgs[0], [c["theta"] for c in cfgs])
+    outputs = [(c["out"], sweep_csv(table).encode(), _meta_text("sweep", c))
+               for c, table in zip(cfgs, tables)]
+    if summary_cfg is not None:
+        meta = _meta_text("reproduce", summary_cfg)
+        outputs += [(os.path.join(summary_cfg["outdir"], filename), payload, meta)
+                    for filename, payload in _reproduce_tables(summary_cfg, tables[0])]
+    return outputs
+
+
+def _recording_warnings(func, *args):
+    """``(func(*args), the warnings it emitted)``, each warning as a
+    (message, category, filename, lineno) record for ``_rewarn``."""
+    with warnings.catch_warnings(record=True) as caught:
+        result = func(*args)
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _rewarn(caught: list[tuple]) -> None:
+    """Emit warnings recorded in another process here, each under the module
+    and warning registry of its file, as ``warnings.warn`` does, so this
+    process's filters (and their once-per-location memory) apply."""
+    modules = {getattr(mod, "__file__", None): mod for mod in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        mod = modules.get(filename)
+        registry = vars(mod).setdefault("__warningregistry__", {}) if mod else None
+        warnings.warn_explicit(message, category, filename, lineno,
+                               getattr(mod, "__name__", None), registry)
 
 
 def _handle_reproduce(cfg: dict) -> list[tuple[str, bytes, str]]:
@@ -494,10 +532,18 @@ def _handle_reproduce(cfg: dict) -> list[tuple[str, bytes, str]]:
 
     Each subcommand product is resolved by ``resolve_config`` from the flags
     reproduce sets, exactly as a rerun from its ``.meta`` resolves it; each
-    sweep panel is one multi-angle sweep.  The stages that check user input
-    (steps, tomogram angles, shots, seed) run first, so bad input fails
-    before the slow stages.
+    sweep panel is one multi-angle sweep.  The products are independent
+    jobs, run on two worker processes (forked where the platform can fork)
+    and collected in declared order: the tomograms and the empirical
+    crossover, which check user input (tomogram angles, shots, seed), come
+    first, so bad input fails before the slow stages finish.  The first
+    failing job in that order raises its own exception here, and leaving
+    the pool stops the other worker; a worker that dies (killed, out of
+    memory) raises ``NumericalError``.  Each job's warnings are emitted again
+    here, in the same order, so this process's warning filters apply.
     """
+    import multiprocessing  # only reproduce starts processes
+
     check_parameter_points(cfg["steps"], "sweep steps")
     shared = {name.replace("-", "_"): cfg[name]
               for name in ("steps", "theta-count", "grid-points", "shots", "seed", "tail-tol")}
@@ -506,31 +552,38 @@ def _handle_reproduce(cfg: dict) -> list[tuple[str, bytes, str]]:
         path = os.path.join(cfg["outdir"], filename)
         return resolve_config(subcommand, dict(shared, out=path, **flags), None)
 
-    outputs = [_product("tomogram", sub_config("tomogram", f"tomogram_{label}.pgm",
-                                               family=family, m=m))
-               for label, family, m in TOMOGRAMS]
+    jobs = [(_product, "tomogram", sub_config("tomogram", f"tomogram_{label}.pgm",
+                                              family=family, m=m))
+            for label, family, m in TOMOGRAMS]
     crossovers = [(filename, dict(family=family, pair=pair, lo=lo, hi=hi, theta=parse_theta(t)))
                   for filename, family, pair, lo, hi, t in CROSSOVERS]
     if cfg["empirical"]:  # the first crossover, from seeded homodyne records
         filename, flags = crossovers[0]
-        sub_cfg = sub_config("empirical-crossover", f"empirical_{filename}", **flags)
-        outputs.append(_product("empirical-crossover", sub_cfg))
-
-    sweeps = {}
+        jobs.append((_product, "empirical-crossover",
+                     sub_config("empirical-crossover", f"empirical_{filename}", **flags)))
+    summary_source = os.path.join(cfg["outdir"], "w1_added_theta_0.csv")
     for template, family, compare, lo, hi, angles in SWEEP_PANELS:
         cfgs = [sub_config("sweep", template.format(a.replace("/", "")), family=family,
                            compare=compare, lo=lo, hi=hi, theta=parse_theta(a)) for a in angles]
-        for sub_cfg, table in zip(cfgs, _sweep_tables(cfgs[0], [c["theta"] for c in cfgs])):
-            sweeps[sub_cfg["out"]] = table
-            outputs.append((sub_cfg["out"], sweep_csv(table).encode(),
-                            _meta_text("sweep", sub_cfg)))
+        jobs.append((_sweep_panel, cfgs, cfg if cfgs[0]["out"] == summary_source else None))
+    jobs += [(_product, "crossover", sub_config("crossover", filename, **flags))
+             for filename, flags in crossovers]
 
-    outputs += [_product("crossover", sub_config("crossover", filename, **flags))
-                for filename, flags in crossovers]
-    reproduce_meta = _meta_text("reproduce", cfg)
-    added_theta_0 = sweeps[os.path.join(cfg["outdir"], "w1_added_theta_0.csv")]
-    outputs += [(os.path.join(cfg["outdir"], filename), payload, reproduce_meta)
-                for filename, payload in _reproduce_tables(cfg, added_theta_0)]
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    outputs, before = [], set(multiprocessing.active_children())
+    with multiprocessing.get_context(method).Pool(2) as pool:
+        workers = set(multiprocessing.active_children()) - before
+        pending = [pool.apply_async(_recording_warnings, job) for job in jobs]
+        for result in pending:
+            while not result.ready():  # the pool would wait forever for a killed worker's job
+                result.wait(0.1)
+                ended = [w.exitcode for w in workers if w.exitcode is not None]
+                if ended:
+                    raise NumericalError(f"a reproduce worker process ended (exit code "
+                                         f"{ended[0]}) before returning its result")
+            triples, caught = result.get()
+            _rewarn(caught)
+            outputs += triples
     return outputs
 
 
@@ -544,7 +597,7 @@ def run(subcommand: str, flags: dict, config_path: str | None = None) -> int:
     if subcommand == "reproduce":
         outputs = _handle_reproduce(cfg)
     else:
-        outputs = [_product(subcommand, cfg)]
+        outputs = _product(subcommand, cfg)
     for path, payload, meta in outputs:
         atomic_write(path, payload)
         atomic_write(path + ".meta", meta.encode())

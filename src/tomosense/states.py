@@ -408,6 +408,8 @@ def normalization_constant(kind: str, m: int, p: SqueezeParams, method: str = "c
         raise ValidationError(f"m must be in [1, {CUTOFF_CAP}], got {m}")
     if kind not in ("added", "subtracted"):
         raise ValidationError(f"kind must be 'added' or 'subtracted', got {kind!r}")
+    if method not in ("closed", "series"):
+        raise ValidationError(f"method must be 'closed' or 'series', got {method!r}")
     if kind == "subtracted" and p.r == 0.0:
         raise SubtractFromVacuum("subtracted-state norm vanishes at r = 0")
     try:
@@ -569,7 +571,9 @@ def janus_exponential(f: float) -> FockVector:
 
 
 def two_photon_raising_matrix(dim: int) -> np.ndarray:
-    """Dense matrix of ``a^dag^2 (1 + a^dag a)^{-1}`` on a dim-dimensional truncation."""
+    """Dense matrix of ``a^dag^2 (1 + a^dag a)^{-1}`` on a dim-dimensional truncation, dim >= 1."""
+    if dim < 1:
+        raise ValidationError(f"dim must be >= 1, got {dim}")
     g = np.zeros((dim, dim))
     n = np.arange(dim - 2)
     g[n + 2, n] = np.sqrt((n + 2) / (n + 1.0))
@@ -585,12 +589,14 @@ def apply_ladder(v: FockVector, direction: str, times: int = 1) -> FockVector:
 
     This is the independent construction route for the photon-added and
     photon-subtracted families: raising maps ``c_n -> sqrt(n+1) c_n`` shifted
-    up, lowering maps ``c_n -> sqrt(n) c_n`` shifted down.
+    up, lowering maps ``c_n -> sqrt(n) c_n`` shifted down.  ``times`` is at
+    most ``CUTOFF_CAP``, like every photon change a build reaches, and is
+    checked before the first application.
     """
     if direction not in ("raise", "lower"):
         raise ValidationError(f"direction must be 'raise' or 'lower', got {direction!r}")
-    if times < 1:
-        raise ValidationError("times must be >= 1")
+    if not 1 <= times <= CUTOFF_CAP:
+        raise ValidationError(f"times must be in [1, {CUTOFF_CAP}], got {times}")
     amps = np.array(v.amplitudes, dtype=np.complex128)
     for _ in range(times):
         if direction == "raise":

@@ -119,10 +119,15 @@ def hermite_function(n_max: int, x) -> np.ndarray:
 
     Scalar ``x`` gives a buffer of shape (n_max+1,); an array gives
     (n_max+1, len(x)).  The normalized recurrence keeps every value bounded
-    by 1 in magnitude, so there is no intermediate overflow for any
-    ``n_max <= 512`` and ``|x| <= 50``.
+    by 1 in magnitude, so there is no intermediate overflow on its domain,
+    integer ``0 <= n_max <= CUTOFF_CAP`` (512) and finite
+    ``|x| <= MAX_ABSCISSA`` (50); anything else raises ``ValidationError``.
     """
+    if not (isinstance(n_max, (int, np.integer)) and 0 <= n_max <= CUTOFF_CAP):
+        raise ValidationError(f"n_max must be an integer in [0, {CUTOFF_CAP}], got {n_max!r}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if xs.size and not np.abs(xs).max() <= MAX_ABSCISSA:  # also false for a NaN
+        raise ValidationError(f"hermite_function needs finite |x| <= {MAX_ABSCISSA:g}")
     out = np.empty((n_max + 1, xs.size))
     out[0] = math.pi ** -0.25 * np.exp(-0.5 * xs * xs)
     if n_max >= 1:

@@ -1,4 +1,7 @@
+import glob
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -42,3 +45,21 @@ def align_global_phase(a: np.ndarray, b: np.ndarray):
 def default_r():
     """The toolkit-default squeezing magnitude, 1/sqrt(2)."""
     return 1.0 / np.sqrt(2.0)
+
+
+def _child_pids() -> set[str]:
+    """Process ids of this process's children, from /proc where Linux lists them."""
+    pids = {str(p.pid) for p in multiprocessing.active_children()}  # also reaps finished ones
+    for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
+        with open(path, "r", encoding="utf-8") as fh:
+            pids.update(fh.read().split())
+    return pids
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process alive, such as a reproduce worker."""
+    before = _child_pids()
+    yield
+    left = _child_pids() - before
+    assert not left, f"child processes left alive: {sorted(left)}"

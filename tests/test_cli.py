@@ -1,7 +1,9 @@
 import filecmp
 import json
 import math
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -12,9 +14,9 @@ from conftest import doubles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tomosense import cli, homodyne, tomography, transport
+from tomosense import cli, errors, homodyne, tomography, transport
 from tomosense.cli import main, parse_theta
-from tomosense.errors import ValidationError
+from tomosense.errors import MultipleRootsWarning, NumericalError, ValidationError
 from tomosense.states import MAX_PHOTON_DELTA, SqueezeParams, normalization_constant
 
 
@@ -499,6 +501,14 @@ def test_cold_start_loads_scipy_interpolate_only_to_sample(tmp_path):
     assert report["sha256"] == SAMPLE_CSV_SHA256
 
 
+def test_import_loads_no_multiprocessing():
+    # only reproduce starts worker processes, and imports multiprocessing to do so
+    proc = run_fresh("-c", "import sys, tomosense.cli; "
+                           "print(sorted(m for m in sys.modules if 'multiprocessing' in m))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_entry_point_runs_warning_free():
     # runpy warns when the package has already imported tomosense.cli
     proc = run_fresh("-W", "error", "-m", "tomosense.cli", "--version")
@@ -574,3 +584,68 @@ def test_reproduce_artifact_rerun_from_meta(tmp_path):
             str(outdir), str(rerun_dir)), name
     payload = json.loads((outdir / "kappa_fits.json").read_text())
     assert payload["m0"] == pytest.approx(2.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# reproduce's worker processes
+# ---------------------------------------------------------------------------
+
+SMALL_REPRODUCE_ARGS = ["--steps", 2, "--theta-count", 16, "--grid-points", 256]
+
+
+@pytest.mark.parametrize("cls", sorted(
+    (c for c in vars(errors).values()
+     if isinstance(c, type) and issubclass(c, (errors.TomosenseError, MultipleRootsWarning))),
+    key=lambda c: c.__name__))
+def test_errors_and_warnings_survive_a_pickle_round_trip(cls):
+    # a worker's exception or warning reaches reproduce's process pickled
+    again = pickle.loads(pickle.dumps(cls("message of a worker")))
+    assert type(again) is cls
+    assert str(again) == "message of a worker"
+
+
+def test_reproduce_relays_worker_warnings(tmp_path):
+    # the low-shot empirical crossover sees several sign changes in a worker;
+    # the warning reaches this process's filters
+    with pytest.warns(MultipleRootsWarning, match="sign changes"):
+        assert run_cli("reproduce", "--outdir", tmp_path / "run", *SMALL_REPRODUCE_ARGS,
+                       "--shots", 1000, "--seed", 1) == 0
+    assert multiprocessing.active_children() == []
+
+
+# the failure tests patch this process before reproduce starts its workers,
+# which only forked workers inherit
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="workers inherit a patch only when forked")
+
+
+@needs_fork
+@pytest.mark.parametrize("error,code", [(NumericalError, 3), (ValidationError, 2)])
+def test_reproduce_worker_failure_exits_with_its_code_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, error, code):
+    def failing_crossover(*args, **kwargs):
+        raise error(f"crossover failed in process {os.getpid()}")
+
+    monkeypatch.setattr(cli, "find_crossover", failing_crossover)  # inherited by the workers
+    outdir = tmp_path / "run"
+    assert run_cli("reproduce", "--outdir", outdir, *SMALL_REPRODUCE_ARGS,
+                   "--empirical", 0) == code
+    err = capsys.readouterr().err
+    assert "crossover failed in process" in err
+    assert f"process {os.getpid()}\n" not in err  # raised in a worker, not here
+    assert not outdir.exists() or not os.listdir(outdir)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_reproduce_worker_that_dies_exits_3_instead_of_waiting(tmp_path, monkeypatch, capsys):
+    def dying_crossover(*args, **kwargs):
+        os._exit(70)
+
+    monkeypatch.setattr(cli, "find_crossover", dying_crossover)
+    outdir = tmp_path / "run"
+    assert run_cli("reproduce", "--outdir", outdir, *SMALL_REPRODUCE_ARGS,
+                   "--empirical", 0) == 3
+    assert "exit code 70" in capsys.readouterr().err
+    assert not outdir.exists() or not os.listdir(outdir)
+    assert multiprocessing.active_children() == []

@@ -113,6 +113,22 @@ def test_ladder_basics():
         apply_ladder(one, "sideways", 1)
 
 
+@pytest.mark.parametrize("direction", ["raise", "lower"])
+@pytest.mark.parametrize("times", [0, -3, states.CUTOFF_CAP + 1, 10**6])
+def test_ladder_times_outside_one_to_the_cap_raise_validation_error(direction, times):
+    # checked before the loop: lowering 10**6 times used to run for seconds
+    # before it raised AnnihilatedToZero
+    v = build_svs_family(SqueezeParams(0.5), 0)
+    with pytest.raises(ValidationError, match="times"):
+        apply_ladder(v, direction, times)
+
+
+def test_ladder_count_of_the_cap_is_accepted():
+    vacuum = FockVector(np.array([1.0 + 0j]), 0.0)
+    with pytest.raises(AnnihilatedToZero):  # from the loop, not from the count check
+        apply_ladder(vacuum, "lower", states.CUTOFF_CAP)
+
+
 def test_mean_photon_limits_and_monotonicity():
     for m in (1, 2, 3):
         v = build_svs_family(SqueezeParams(1e-4), m)
@@ -208,6 +224,15 @@ def test_subtracted_norm_at_r0_raises():
 def test_normalization_constant_outside_its_range_raises(kind, m, r, method):
     with pytest.raises(TomosenseError):
         normalization_constant(kind, m, SqueezeParams(r), method)
+
+
+@pytest.mark.parametrize("kind", ["added", "subtracted"])
+@pytest.mark.parametrize("method", ["clsoed", "Closed", "", None])
+def test_normalization_constant_rejects_an_unknown_method(kind, method):
+    # a misspelt method used to sum the series for "added" and take the
+    # closed form for "subtracted"
+    with pytest.raises(ValidationError, match="method"):
+        normalization_constant(kind, 2, SqueezeParams(0.5), method)
 
 
 @given(kind=st.sampled_from(("added", "subtracted")), m=st.integers(-2, states.CUTOFF_CAP + 2),
@@ -328,6 +353,16 @@ def test_janus_matches_matrix_exponential_oracle():
     theirs = oracle[2:k:2] / oracle[0:k - 2:2]
     valid = np.abs(oracle[0:k - 2:2]) > 1e-12
     assert np.allclose(ours[valid], theirs[valid], atol=1e-10)
+
+
+@pytest.mark.parametrize("dim", [0, -1, -5])
+def test_two_photon_raising_matrix_needs_a_positive_dimension(dim):
+    with pytest.raises(ValidationError, match="dim"):
+        two_photon_raising_matrix(dim)
+
+
+def test_two_photon_raising_matrix_of_one_state_is_zero():
+    assert np.array_equal(two_photon_raising_matrix(1), np.zeros((1, 1)))
 
 
 def test_two_photon_raising_commutator_structure():

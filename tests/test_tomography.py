@@ -59,6 +59,29 @@ def test_hermite_bounded_and_finite_over_full_domain():
     assert np.max(np.abs(psi)) <= 1.0
 
 
+@pytest.mark.parametrize("n_max", [-1, tomography.CUTOFF_CAP + 1, 2.0, "3", None])
+def test_hermite_n_max_outside_its_domain_raises(n_max):
+    with pytest.raises(ValidationError, match="n_max"):
+        hermite_function(n_max, 0.0)
+
+
+@pytest.mark.parametrize("x", [[1e200], [0.0, -50.5], [math.inf], [math.nan], 1e200, -math.inf])
+def test_hermite_abscissa_outside_its_domain_raises(x):
+    with pytest.raises(ValidationError, match="50"):
+        hermite_function(3, x)
+
+
+def test_hermite_domain_edges_still_evaluate():
+    assert hermite_function(0, [-50.0, 50.0]).shape == (1, 2)
+    assert hermite_function(tomography.CUTOFF_CAP, np.int64(0)).shape == (513,)
+    assert hermite_function(np.int64(3), []).shape == (4, 0)
+
+
+def test_quadrature_amplitude_at_infinity_raises():
+    with pytest.raises(ValidationError):
+        quadrature_amplitude(vacuum(), 0.0, [math.inf])
+
+
 def test_hermite_rows_do_not_depend_on_n_max():
     xs = np.linspace(-9.0, 9.0, 301)
     full = hermite_function(60, xs)
