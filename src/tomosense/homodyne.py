@@ -6,12 +6,14 @@ interpolation of the CDF on an 8192-point slice), binned into histogram
 tomograms, and fed to the empirical Wasserstein estimator, so the whole
 crossover analysis can be repeated from samples alone.
 
-The interpolated inverse is evaluated at the uniforms in ascending order,
-which lets the interval search reuse its previous hit; each value depends
-only on its uniform, so a record returned in shot order is the same as one
-evaluated in shot order.  A crossover evaluation builds one inverse per
-distinct state (the reference is shared by both curves) and hands the
-sorted outcomes straight to the empirical W1, which only needs the multiset.
+The interpolant is a NumPy port of scipy's ``PchipInterpolator`` that gives
+the same doubles, so sampling loads no scipy module.  It is evaluated at the
+uniforms in ascending order, which lets one search of the nodes into the
+sorted uniforms find every interval; each value depends only on its uniform,
+so a record returned in shot order is the same as one evaluated in shot
+order.  A crossover evaluation builds one inverse per distinct state (the
+reference is shared by both curves) and hands the sorted outcomes straight to
+the empirical W1, which only needs the multiset.
 
 Randomness comes from the counter-based Philox generator keyed by the user
 seed, with per-row child streams keyed by (master seed, row index); records
@@ -28,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .states import FockVector, StateSpec, build_state, check_angle
 from .tomography import MAX_GRID_POINTS, MAX_THETA_COUNT, auto_grid, pdf_slice
 from .transport import PARAM_TOL, CrossoverResult, _scan_and_bisect, w1_empirical
@@ -93,20 +95,110 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(_seed_sequence(seed, *key).generate_state(1, np.uint64)[0])
 
 
-def _inverse_cdf(v: FockVector, theta: float) -> tuple[Callable, float, float]:
+class _Pchip:
+    """Monotone piecewise-cubic (PCHIP) interpolant of ``y`` over the nodes ``x``.
+
+    A port of scipy 1.17.1's ``PchipInterpolator`` for 1-D data (Fritsch &
+    Butland, SIAM J. Sci. Comput. 5, 300 (1984); end slopes by Moler's
+    one-sided rule) that gives the same doubles: the node slopes and the
+    coefficients ``c`` (shape (4, n-1), highest power first, as scipy's
+    ``PPoly.c``) use scipy's operations in scipy's order, and evaluation
+    reproduces ``_ppoly.evaluate`` with extrapolation from the end intervals.
+    Bad nodes raise ``NumericalError``, where scipy raises ``ValueError``.
+    """
+
+    _BLOCK = 16384  # uniforms per evaluation block, so temporaries stay cache-sized
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
+            raise NumericalError(f"PCHIP needs at least 2 nodes and one value per node, "
+                                 f"got shapes {x.shape} and {y.shape}")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise NumericalError("PCHIP nodes and values must be finite")
+        hk = np.diff(x)
+        if np.any(hk <= 0):
+            raise NumericalError("PCHIP nodes must be strictly increasing")
+        mk = (y[1:] - y[:-1]) / hk
+        if len(x) == 2:
+            dk = np.array([mk[0], mk[0]])  # linear interpolation
+        else:
+            smk = np.sign(mk)
+            condition = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+            w1 = 2 * hk[1:] + hk[:-1]
+            w2 = hk[1:] + 2 * hk[:-1]
+            # divisions by a zero slope are excluded by `condition`
+            with np.errstate(divide="ignore", invalid="ignore"):
+                whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+            dk = np.zeros_like(y)
+            dk[1:-1][~condition] = 1.0 / whmean[~condition]
+            dk[0] = self._edge_slope(hk[0], hk[1], mk[0], mk[1])
+            dk[-1] = self._edge_slope(hk[-1], hk[-2], mk[-1], mk[-2])
+        if not np.all(np.isfinite(dk)):
+            raise NumericalError("PCHIP node slopes overflow")
+        t = (dk[:-1] + dk[1:] - 2 * mk) / hk
+        # scipy's evaluation starts from 0.0 + c3, which turns a -0.0 into +0.0
+        self.c = np.stack((t / hk, (mk - dk[:-1]) / hk - t, dk[:-1], y[:-1] + 0.0))
+        self.x = x
+
+    @staticmethod
+    def _edge_slope(h0, h1, m0, m1):
+        """One-sided three-point end slope, zeroed or capped at 3*m0 to keep the shape."""
+        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return d
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """Interpolant at ``u``, which must be in ascending order (no check is made).
+
+        Point ``u`` uses the interval of the largest node ``x[i] <= u``, clipped
+        to the first and last intervals, so both ends extrapolate.  One search
+        of the interior nodes into the sorted ``u`` finds where every interval
+        starts, and each block repeats the coefficients of the intervals it
+        covers by their run lengths.  The cubic is evaluated as scipy does:
+        ``c3 + c2*s``, then ``+ c1*s**2``, then ``+ c0*s**3``, with ``s = u - x[i]``.
+        """
+        x, (c0, c1, c2, c3) = self.x, self.c
+        starts = np.empty(len(x), dtype=np.intp)
+        starts[0] = 0
+        starts[1:-1] = np.searchsorted(u, x[1:-1], side="left")
+        starts[-1] = len(u)
+        out = np.empty(len(u))
+        for lo in range(0, len(u), self._BLOCK):
+            hi = min(lo + self._BLOCK, len(u))
+            first = np.searchsorted(starts, lo, side="right") - 1
+            stop = np.searchsorted(starts, hi, side="left")
+            runs = np.diff(np.clip(starts[first:stop + 1], lo, hi))
+            s = u[lo:hi] - np.repeat(x[first:stop], runs)
+            res = out[lo:hi]
+            np.multiply(np.repeat(c2[first:stop], runs), s, out=res)
+            res += np.repeat(c3[first:stop], runs)
+            z = s * s
+            term = np.repeat(c1[first:stop], runs)
+            term *= z
+            res += term
+            z *= s
+            term = np.repeat(c0[first:stop], runs)
+            term *= z
+            res += term
+        return out
+
+
+def _inverse_cdf(v: FockVector, theta: float) -> tuple[_Pchip, float, float]:
     """Monotone (PCHIP) inverse of the exact slice CDF and its captured mass [lo, hi].
 
-    CDF steps of at most 1e-100 are dropped: flat ones, and ones whose PCHIP slopes overflow.
-    scipy.interpolate is imported here, not at module level, because it is
-    most of the start-up time of a process that never samples.
+    The inverse takes ascending uniforms; both callers sort theirs.  CDF steps
+    of at most 1e-100 are dropped: flat ones, and ones whose PCHIP slopes overflow.
     """
-    from scipy.interpolate import PchipInterpolator
-
     grid = auto_grid(v, n_points=SAMPLING_GRID_POINTS)
     sl = pdf_slice(v, theta, grid)
     keep = np.concatenate([[True], np.diff(sl.cdf) > 1e-100])
     cdf = sl.cdf[keep]
-    return PchipInterpolator(cdf, grid.points()[keep]), cdf[0], cdf[-1]
+    return _Pchip(cdf, grid.points()[keep]), cdf[0], cdf[-1]
 
 
 def _uniforms(lo: float, hi: float, shots: int, seed: int) -> np.ndarray:

@@ -39,6 +39,7 @@ from .errors import (
 
 CUTOFF_CAP = 512
 DEFAULT_TAIL_TOL = 1e-12
+NORM_TOL = 1e-10  # builders normalize to within a few ulp (2.2e-16)
 
 TWO_PI = 2.0 * math.pi
 
@@ -84,7 +85,9 @@ class FockVector:
 
     ``amplitudes[n]`` is ``c_n`` for ``n = 0 .. cutoff``; ``discarded_mass``
     is the probability weight dropped by the truncation (exact when a closed
-    form for the full norm exists, otherwise a safe geometric bound).
+    form for the full norm exists, otherwise a safe geometric bound).  At
+    least one amplitude is required, all finite, with a norm within
+    ``NORM_TOL`` of 1, and a discarded mass in [0, 1).
     """
 
     amplitudes: np.ndarray
@@ -93,6 +96,15 @@ class FockVector:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        if amps.ndim != 1:
+            raise ValidationError(f"Fock amplitudes must be 1-D, got shape {amps.shape}")
+        # a NaN, an infinity or no amplitude at all fails the norm test too
+        norm = math.sqrt(np.vdot(amps, amps).real)
+        if not abs(norm - 1.0) <= NORM_TOL:
+            raise ValidationError(f"Fock amplitudes must be finite with unit norm, got norm {norm!r}")
+        if not 0.0 <= self.discarded_mass < 1.0:
+            raise ValidationError(
+                f"discarded mass must be in [0, 1), got {self.discarded_mass!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "cutoff", len(amps) - 1)
@@ -606,7 +618,10 @@ def apply_ladder(v: FockVector, direction: str, times: int = 1) -> FockVector:
             out[1:] = amps * np.sqrt(np.arange(1, len(amps) + 1))
         else:
             out = amps[1:] * np.sqrt(np.arange(1, len(amps)))
-        amps = out
+        # scale the largest magnitude into [0.5, 1): a power of two is exact, so
+        # the normalized result keeps its bits and long raisings cannot overflow
+        _, exponent = np.frexp(np.max(np.abs(out), initial=0.0))
+        amps = np.ldexp(out.view(np.float64), -exponent).view(np.complex128)
     norm = np.linalg.norm(amps)
     if norm == 0.0 or len(amps) == 0:
         raise AnnihilatedToZero("lowering produced the zero vector")

@@ -464,15 +464,16 @@ def test_csv_numbers_roundtrip_doubles(tmp_path):
 # cold start
 # ---------------------------------------------------------------------------
 
-# run in a fresh interpreter: prints, as JSON, which scipy modules (scipy.special,
-# scipy.interpolate, scipy.optimize, ...) are loaded after the import, after the
-# exact subcommands and after one sample, and the SHA-256 of that sample's CSV
+# run in a fresh interpreter: prints, as JSON, which scipy modules are loaded
+# after the import, after the exact subcommands, after one sample and after one
+# small empirical crossover, and the SHA-256 of the sample CSV and crossover JSON
 COLD_START_SCRIPT = """
 import hashlib, json, os, sys
 from tomosense import cli
 
 outdir = sys.argv[1]
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sha256 = lambda path: hashlib.sha256(open(path, "rb").read()).hexdigest()
 report = {"import": loaded()}
 for argv in (["w1", "--b-m", "1", "--out", os.path.join(outdir, "w1.json")],
              ["tomogram", "--theta-count", "16", "--out", os.path.join(outdir, "t.pgm")],
@@ -484,21 +485,28 @@ sample = os.path.join(outdir, "sample.csv")
 assert cli.main(["sample", "--m", "1", "--shots", "1000", "--seed", "7", "--theta", "pi/4",
                  "--out", sample]) == 0
 report["sample"] = loaded()
-with open(sample, "rb") as fh:
-    report["sha256"] = hashlib.sha256(fh.read()).hexdigest()
+report["sample_sha256"] = sha256(sample)
+crossing = os.path.join(outdir, "empirical.json")
+assert cli.main(["empirical-crossover", "--shots", "20000", "--scan-points", "8",
+                 "--out", crossing]) == 0
+report["empirical"] = loaded()
+report["empirical_sha256"] = sha256(crossing)
 print(json.dumps(report))
 """
 SAMPLE_CSV_SHA256 = "6d19ab6992713684653cfde13de88f29f4f39f98549da8b18a9c15f9ce04cf65"
+# empirical-crossover --shots 20000 --scan-points 8 as written when sampling used
+# scipy's PchipInterpolator
+EMPIRICAL_JSON_SHA256 = "c8a687667c1aa03683187bd6781d096bc090005dc8d2adbf5b06f685e8e14663"
 
 
-def test_cold_start_loads_scipy_interpolate_only_to_sample(tmp_path):
+def test_cold_start_loads_no_scipy(tmp_path):
     proc = run_fresh("-c", COLD_START_SCRIPT, tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["import"] == []
-    assert report["exact"] == []
-    assert "scipy.interpolate" in report["sample"]
-    assert report["sha256"] == SAMPLE_CSV_SHA256
+    for stage in ("import", "exact", "sample", "empirical"):
+        assert report[stage] == [], stage
+    assert report["sample_sha256"] == SAMPLE_CSV_SHA256
+    assert report["empirical_sha256"] == EMPIRICAL_JSON_SHA256
 
 
 def test_import_loads_no_multiprocessing():

@@ -9,7 +9,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.stats import chi2_contingency
 
 from tomosense.cli import record_csv
-from tomosense.errors import MultipleRootsWarning, TomosenseError, ValidationError
+from tomosense.errors import MultipleRootsWarning, NumericalError, TomosenseError, ValidationError
 from tomosense import homodyne
 from tomosense.homodyne import (
     SAMPLING_GRID_POINTS,
@@ -78,6 +78,75 @@ def test_sampling_drops_cdf_steps_too_small_for_pchip(spec):
     # overflowed PCHIP's slopes into a ValueError
     rec = sample_quadrature(build_state(spec), 0.0, 1000, 1)
     assert np.all(np.isfinite(rec.samples))
+
+
+# ---------------------------------------------------------------------------
+# the NumPy PCHIP port against scipy's PchipInterpolator
+# ---------------------------------------------------------------------------
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def assert_pchip_matches_scipy(x, y, u):
+    """Coefficients equal with ``==`` and values at the ascending ``u`` equal bit for bit."""
+    port, ref = homodyne._Pchip(x, y), PchipInterpolator(x, y)
+    assert np.array_equal(port.c, ref.c)
+    assert np.array_equal(bits(port(u)), bits(ref(u)))
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 2])
+@pytest.mark.parametrize("spec", [svs_spec(m=m) for m in (-2, 0, 1, 2, 3)]
+                         + [ecs_spec(m=m) for m in (0, 1, 2)])
+def test_pchip_port_is_scipy_bit_for_bit_on_sampling_inverses(spec, theta):
+    v = build_state(spec)
+    grid = auto_grid(v, n_points=SAMPLING_GRID_POINTS)
+    sl = pdf_slice(v, theta, grid)
+    keep = np.concatenate([[True], np.diff(sl.cdf) > 1e-100])
+    cdf = sl.cdf[keep]
+    inverse, lo, hi = homodyne._inverse_cdf(v, theta)
+    assert np.array_equal(inverse.x, cdf) and (lo, hi) == (cdf[0], cdf[-1])
+    uniforms = np.random.default_rng(2718).random(10**5) * (hi - lo) + lo
+    beyond = [np.nextafter(cdf[0], -np.inf), np.nextafter(cdf[-1], np.inf)]
+    u = np.sort(np.concatenate([cdf, beyond, uniforms]))
+    assert_pchip_matches_scipy(cdf, grid.points()[keep], u)
+
+
+@pytest.mark.parametrize("x,y", [
+    ([0.0, 1.0], [2.0, -3.0]),            # two nodes: linear
+    ([0.0, 1.0, 2.0], [0.0, 1.0, 6.0]),   # end slope of the wrong sign: zeroed
+    ([0.0, 1.0, 2.0], [0.0, 1.0, -4.0]),  # end slope over 3*m0 at a turn: capped
+    ([0.0, 1.0, 3.0, 3.5], [-1.0, -1.0, 2.0, 2.0]),  # flat runs
+    # y = -0.0 at x = 1 with c0, c1, c2 < 0: only scipy's 0.0 + c3 makes the value +0.0
+    ([0.0, 1.0, 2.0, 3.0], [1 / 3, -0.0, -1.0, -8.0]),
+])
+def test_pchip_port_end_cases_match_scipy(x, y):
+    x = np.array(x)
+    u = np.concatenate([[x[0] - 1.0], np.linspace(x[0], x[-1], 41), x, [x[-1] + 1.0]])
+    assert_pchip_matches_scipy(x, np.array(y), np.sort(u))
+
+
+@given(st.lists(st.tuples(st.floats(1e-6, 10.0), st.floats(0.0, 10.0)), min_size=1, max_size=40),
+       st.floats(-5.0, 5.0), st.lists(st.floats(-1.0, 2.0), max_size=60))
+@settings(max_examples=200, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # tiny slopes, both sides
+def test_pchip_port_matches_scipy_on_monotone_data(steps, x0, fractions):
+    dx, dy = np.array([(0.0, 0.0)] + steps).T
+    x, y = x0 + np.cumsum(dx), np.cumsum(dy)
+    if np.any(np.diff(x) <= 0):  # a step lost to rounding
+        return
+    u = x[0] + np.array(fractions) * (x[-1] - x[0])  # nodes, inside and beyond both ends
+    assert_pchip_matches_scipy(x, y, np.sort(np.concatenate([u, x])))
+
+
+@pytest.mark.parametrize("x,y", [([0.5], [1.0]), ([0.0, np.nan, 1.0], [0.0, 1.0, 2.0]),
+                                 ([0.0, 1.0], [0.0, np.inf]), ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0]),
+                                 ([1.0, 0.0], [0.0, 1.0]),
+                                 ([0.0, 5e-324, 1.0], [0.0, 1.0, 2.0])])  # slopes overflow
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_pchip_port_rejects_bad_nodes_with_numerical_error(x, y):
+    with pytest.raises(NumericalError):
+        homodyne._Pchip(np.array(x), np.array(y))
 
 
 def unsorted_samples(v, theta, shots, seed):

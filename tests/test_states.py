@@ -129,6 +129,32 @@ def test_ladder_count_of_the_cap_is_accepted():
         apply_ladder(vacuum, "lower", states.CUTOFF_CAP)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("times", [171, states.CUTOFF_CAP])
+def test_long_raisings_of_vacuum_give_the_number_state(times):
+    # sqrt(171!) overflows: the norm became inf and the result the zero vector,
+    # and 512 raisings gave NaN amplitudes
+    v = apply_ladder(FockVector(np.array([1.0 + 0j]), 0.0), "raise", times)
+    expected = np.zeros(times + 1, dtype=complex)
+    expected[times] = 1.0
+    assert np.array_equal(v.amplitudes, expected)
+
+
+@pytest.mark.parametrize("amplitudes,discarded", [
+    ([], 0.0), ([[1.0]], 0.0), ([math.nan], 0.0), ([1.0, math.inf], 0.0),
+    ([2.0], 0.0), ([1.0 + 2e-10], 0.0), ([0.6, 0.6], 0.0),
+    ([1.0], -1e-300), ([1.0], 1.0), ([1.0], math.nan),
+])
+def test_fock_vector_rejects_values_outside_its_contract(amplitudes, discarded):
+    with pytest.raises(ValidationError):
+        FockVector(np.array(amplitudes, dtype=complex), discarded)
+
+
+def test_fock_vector_accepts_a_norm_within_tolerance():
+    v = FockVector(np.array([0.6, 0.8j * (1.0 + 5e-11)]), 0.5)
+    assert v.cutoff == 1 and v.discarded_mass == 0.5
+
+
 def test_mean_photon_limits_and_monotonicity():
     for m in (1, 2, 3):
         v = build_svs_family(SqueezeParams(1e-4), m)
