@@ -36,7 +36,9 @@ from .tomography import MAX_GRID_POINTS, MAX_THETA_COUNT, auto_grid, pdf_slice
 from .transport import PARAM_TOL, CrossoverResult, _scan_and_bisect, w1_empirical
 
 SAMPLING_GRID_POINTS = 8192
-MAX_SHOTS = 10**8  # 0.8 GB of float64 outcomes per record, before any sort or CSV text
+# 0.8 GB of float64 outcomes per record, before any sort; its CSV is about 2.3 GB
+# of text at theta = 0 (4 GB at pi/4), built once at about 1.1x its size
+MAX_SHOTS = 10**8
 
 PairBuilder = Callable[[float], tuple[StateSpec, StateSpec]]
 
@@ -224,8 +226,9 @@ def sample_quadrature(v: FockVector, theta: float, shots: int, seed: int) -> Mea
     inverse, lo, hi = _inverse_cdf(v, theta)
     u = _uniforms(lo, hi, shots, seed)
     order = np.argsort(u)
+    u = u[order]
     x = np.empty(shots)
-    x[order] = inverse(u[order])
+    x[order] = inverse(u)
     return MeasurementRecord(theta, x, int(seed))
 
 
@@ -315,7 +318,7 @@ def record_bytes(record: MeasurementRecord) -> bytes:
     """Binary form: 32-byte header {magic, theta, shots, seed} then little-endian
     float64 samples."""
     header = _RECORD_HEADER.pack(RECORD_MAGIC, record.theta, record.shots, record.seed)
-    return header + record.samples.astype("<f8").tobytes()
+    return b"".join((header, np.ascontiguousarray(record.samples, dtype="<f8")))
 
 
 def record_from_bytes(blob: bytes) -> MeasurementRecord:

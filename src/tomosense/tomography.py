@@ -309,7 +309,9 @@ def tomogram(v: FockVector, theta_count: int, grid: QuadratureGrid) -> Tomogram:
     thetas = 2.0 * math.pi * np.arange(theta_count) / theta_count
     xs = grid.points()
     psi = hermite_function(v.cutoff, xs)
-    rows = np.array(_densities([_rotated_coefficients(v, theta) for theta in thetas], psi))
+    rows = np.empty((theta_count, len(xs)))
+    for i, theta in enumerate(thetas):
+        rows[i] = _densities([_rotated_coefficients(v, theta)], psi)[0]
 
     norms = np.trapezoid(rows, xs, axis=1)
     worst = float(np.max(np.abs(norms - 1.0)))

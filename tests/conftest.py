@@ -2,6 +2,7 @@ import glob
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,18 @@ def align_global_phase(a: np.ndarray, b: np.ndarray):
     i = int(np.argmax(np.abs(aa)))
     rot = bb[i] / aa[i]
     return aa * (rot / abs(rot)), bb
+
+
+def traced_peak(func, *args):
+    """``(func(*args), the peak of the memory traced while it ran)``, in bytes and
+    counted from what was traced when it started."""
+    tracemalloc.start()
+    try:
+        result = func(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture(scope="session")

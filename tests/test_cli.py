@@ -1,4 +1,5 @@
 import filecmp
+import glob
 import json
 import math
 import multiprocessing
@@ -7,6 +8,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -24,13 +26,17 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def fresh_env():
+    """Environment in which a fresh interpreter imports this checkout's tomosense."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def run_fresh(*args, timeout=60):
     """Run ``python *args`` in a fresh interpreter that imports this checkout's tomosense."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True,
-                          text=True, timeout=timeout)
+    return subprocess.run([sys.executable, *map(str, args)], env=fresh_env(),
+                          capture_output=True, text=True, timeout=timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +225,31 @@ def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("state", "--no-such-flag")
     assert exc.value.code == 2
+
+
+def test_file_system_errors_exit_2_naming_the_path(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    plain = tmp_path / "plain"
+    plain.write_text("not a directory\n")
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("family=svs\nr=0.5 # \u00b5\n".encode("latin-1"))
+    out = tmp_path / "out.csv"
+    small = ["--steps", 2, "--theta-count", 16, "--grid-points", 256, "--empirical", 0]
+    for args, path in [(["state", "--out", taken], taken),
+                       (["state", "--out", plain / "x.csv"], plain / "x.csv"),
+                       (["reproduce", "--outdir", plain, *small], plain),
+                       (["state", "--config", tmp_path / "missing.cfg", "--out", out],
+                        tmp_path / "missing.cfg"),
+                       (["state", "--config", taken, "--out", out], taken),
+                       (["state", "--config", latin1, "--out", out], latin1)]:
+        assert run_cli(*args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("tomosense: error: ") and err.count("\n") == 1, err
+        assert str(path) in err
+    # nothing written and no temp file left behind
+    assert sorted(os.listdir(tmp_path)) == ["latin1.cfg", "plain", "taken"]
+    assert os.listdir(taken) == []
 
 
 def test_bad_config_values_and_seeds_exit_2(tmp_path, capsys):
@@ -619,6 +650,41 @@ def test_reproduce_relays_worker_warnings(tmp_path):
         assert run_cli("reproduce", "--outdir", tmp_path / "run", *SMALL_REPRODUCE_ARGS,
                        "--shots", 1000, "--seed", 1) == 0
     assert multiprocessing.active_children() == []
+
+
+def _is_running(pid: str) -> bool:
+    """Whether process ``pid`` exists and is not a zombie waiting to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat", "r", encoding="utf-8") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not glob.glob(f"/proc/{os.getpid()}/task/*/children"),
+                    reason="finds the worker processes in /proc")
+def test_reproduce_workers_exit_when_their_parent_is_killed(tmp_path):
+    proc = subprocess.Popen([sys.executable, "-m", "tomosense.cli", "reproduce",
+                             "--outdir", str(tmp_path / "run")], env=fresh_env(),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        workers, deadline = set(), time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            for path in glob.glob(f"/proc/{proc.pid}/task/*/children"):
+                with open(path, "r", encoding="utf-8") as fh:
+                    workers.update(fh.read().split())
+        assert len(workers) == 2, workers
+        time.sleep(1.0)  # both workers are inside jobs
+    finally:
+        proc.kill()
+        proc.wait()
+    deadline = time.monotonic() + 5
+    while any(map(_is_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_is_running, workers))
+    assert "Traceback" not in proc.stderr.read()
+    proc.stderr.close()
 
 
 # the failure tests patch this process before reproduce starts its workers,

@@ -28,7 +28,7 @@ from tomosense.transport import CrossoverResult
 from tomosense.tomography import MAX_GRID_POINTS, MAX_THETA_COUNT, auto_grid, pdf_slice
 from tomosense.transport import w1_cdf, w1_empirical, w1_states
 
-from conftest import EDGE_DOUBLES, doubles, ecs_spec, ocs_spec, svs_spec
+from conftest import EDGE_DOUBLES, doubles, ecs_spec, ocs_spec, svs_spec, traced_peak
 
 VAC_SVS_05 = 0.22199130323553978
 
@@ -371,7 +371,7 @@ def test_library_angles_end_finite_or_in_a_tomosense_error(call, theta, shots):
 
 def test_record_csv_format():
     rec = MeasurementRecord(0.5, np.array([1.0, -2.25]), 3)
-    assert record_csv(rec) == "theta,x\n0.5,1\n0.5,-2.25\n"
+    assert record_csv(rec) == b"theta,x\n0.5,1\n0.5,-2.25\n"
 
 
 def per_line_record_csv(record):
@@ -388,13 +388,29 @@ def per_line_record_csv(record):
 @settings(max_examples=100, deadline=None)
 def test_record_csv_matches_per_line_formatting(theta, samples):
     rec = MeasurementRecord(theta, np.array(samples, dtype=float), 3)
-    assert record_csv(rec) == per_line_record_csv(rec)
+    assert record_csv(rec) == per_line_record_csv(rec).encode()
+
+
+@pytest.mark.parametrize("shots", [2048, 2049])  # two whole blocks; two and one shot
+def test_record_csv_blocks_match_per_line_formatting(shots):
+    rec = sample_quadrature(vacuum(), 0.75, shots, 11)
+    assert record_csv(rec) == per_line_record_csv(rec).encode()
+
+
+def test_record_csv_is_built_once():
+    # the text is built a block at a time into one buffer, not held as a
+    # template, a tuple of floats, a str and its encoded copy at once
+    rec = sample_quadrature(vacuum(), math.pi / 4, 200_000, 5)
+    text, peak = traced_peak(record_csv, rec)
+    assert type(text) is bytes
+    assert text == per_line_record_csv(rec).encode()
+    assert peak <= 1.5 * len(text)
 
 
 def test_record_csv_of_header_only_blob():
     rec = record_from_bytes(record_bytes(MeasurementRecord(0.25, np.empty(0), 7)))
     assert rec.shots == 0
-    assert record_csv(rec) == per_line_record_csv(rec) == "theta,x\n"
+    assert record_csv(rec) == per_line_record_csv(rec).encode() == b"theta,x\n"
 
 
 def test_record_binary_roundtrip():

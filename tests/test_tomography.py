@@ -23,7 +23,7 @@ from tomosense.tomography import (
     tomogram,
 )
 
-from conftest import EDGE_DOUBLES, doubles
+from conftest import EDGE_DOUBLES, doubles, traced_peak
 
 
 def vacuum():
@@ -392,9 +392,9 @@ def test_tomogram_csv_roundtrip():
     tg = tomogram(vacuum(), 16, QuadratureGrid(8.0, 64))
     text = tomogram_csv(tg)
     lines = text.strip().splitlines()
-    assert lines[0] == "theta,x,w"
+    assert lines[0] == b"theta,x,w"
     assert len(lines) == 1 + 16 * 64
-    theta, x, w = lines[1].split(",")
+    theta, x, w = lines[1].split(b",")
     assert float(theta) == tg.theta_grid[0]
     assert float(x) == tg.x_grid.points()[0]
     assert float(w) == tg.values[0, 0]  # 17 significant digits round-trip
@@ -424,13 +424,24 @@ def raw_tomograms(draw):
 @given(raw_tomograms())
 @settings(max_examples=50, deadline=None)
 def test_tomogram_csv_matches_per_line_formatting(tg):
-    assert tomogram_csv(tg) == per_line_tomogram_csv(tg)
+    assert tomogram_csv(tg) == per_line_tomogram_csv(tg).encode()
 
 
 def test_tomogram_csv_odd_theta_count_matches_per_line_formatting():
     v = build_cat_family("even", CatParams(1.2 + 0.7j), 1)
     tg = tomogram(v, 33, auto_grid(v, n_points=96))
-    assert tomogram_csv(tg) == per_line_tomogram_csv(tg)
+    assert tomogram_csv(tg) == per_line_tomogram_csv(tg).encode()
+
+
+def test_tomogram_csv_is_built_once():
+    # each row's text goes into one buffer as it is filled; the whole text is
+    # never also held as a list of rows, a str and its encoded copy
+    v = build_svs_family(SqueezeParams(0.5), 1)
+    tg = tomogram(v, 64, auto_grid(v, n_points=4096))
+    text, peak = traced_peak(tomogram_csv, tg)
+    assert type(text) is bytes
+    assert text == per_line_tomogram_csv(tg).encode()
+    assert peak <= 1.5 * len(text)
 
 
 def per_cell_csv(header, columns):
@@ -447,11 +458,11 @@ def per_cell_csv(header, columns):
 def test_csv_template_matches_per_cell_formatting(columns):
     columns = [np.array(c) for c in columns]
     columns[0][:len(EDGE_DOUBLES)] = EDGE_DOUBLES[:len(columns[0])]
-    assert cli._csv("a,b", columns) == per_cell_csv("a,b", columns)
+    assert cli._csv("a,b", columns) == per_cell_csv("a,b", columns).encode()
     # an integer index column prints as f"{n}" does, as the state CSV's did
     rows = per_cell_csv("a,b", columns).splitlines()[1:]
     want = "n,a,b\n" + "".join(f"{n},{row}\n" for n, row in enumerate(rows))
-    assert cli._csv("n,a,b", [np.arange(len(rows))] + columns) == want
+    assert cli._csv("n,a,b", [np.arange(len(rows))] + columns) == want.encode()
 
 
 def test_tomogram_pgm_structure(default_r):

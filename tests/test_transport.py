@@ -148,9 +148,9 @@ def test_sweep_missing_cells_and_csv():
     col = table.columns[0][1]
     assert math.isnan(col[0]) and np.all(np.isfinite(col[1:]))
     lines = sweep_csv(table).strip().splitlines()
-    assert lines[0] == "param,svs:svs_sub2"
-    assert lines[1].endswith(",")  # r = 0 row has an empty cell
-    value = float(lines[2].split(",")[1])
+    assert lines[0] == b"param,svs:svs_sub2"
+    assert lines[1].endswith(b",")  # r = 0 row has an empty cell
+    value = float(lines[2].split(b",")[1])
     assert value == col[1]
 
 
