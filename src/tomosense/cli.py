@@ -290,12 +290,9 @@ def tomogram_pgm(tg: Tomogram) -> bytes:
     Intensity is scaled to the per-tomogram maximum.
     """
     peak = float(tg.values.max())
-    if peak == 0:
-        pixels = np.zeros(tg.values.shape, dtype=np.uint8)
-    else:
-        scaled = tg.values / peak
-        scaled *= 255.0
-        pixels = np.rint(scaled, out=scaled).astype(np.uint8)
+    scaled = np.zeros_like(tg.values) if peak == 0 else tg.values / peak
+    scaled *= 255.0
+    pixels = np.rint(scaled, out=scaled).astype(np.uint8)
     header = b"P5\n%d %d\n255\n" % (pixels.shape[1], pixels.shape[0])
     return b"".join((header, pixels))
 
