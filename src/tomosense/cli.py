@@ -563,9 +563,15 @@ def _rewarn(caught: list[tuple]) -> None:
                                getattr(mod, "__name__", None), registry)
 
 
-def _exit_with_parent() -> None:
-    """Pool initializer: end this worker as soon as the process that started it
-    ends, rather than finishing its job as an orphan whose result has nowhere to go."""
+def _worker(conn) -> None:
+    """A reproduce worker: run each job that arrives on ``conn`` and send back
+    ``(True, _recording_warnings(*job))`` or ``(False, the exception)``.
+
+    Each worker has a pipe of its own and shares no lock with its parent or
+    the other worker, so a worker stopped at any point leaves nothing held.
+    It ends as soon as the process that started it ends, rather than
+    finishing its job as an orphan whose result has nowhere to go.
+    """
     import multiprocessing.connection
     import threading
 
@@ -576,6 +582,16 @@ def _exit_with_parent() -> None:
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:  # the parent has closed its end or ended
+            return
+        try:
+            reply = (True, _recording_warnings(*job))
+        except Exception as exc:
+            reply = (False, exc)
+        conn.send(reply)
 
 
 def _handle_reproduce(cfg: dict) -> list[tuple[str, bytes, str]]:
@@ -588,13 +604,12 @@ def _handle_reproduce(cfg: dict) -> list[tuple[str, bytes, str]]:
     and collected in declared order: the tomograms and the empirical
     crossover, which check user input (tomogram angles, shots, seed), come
     first, so bad input fails before the slow stages finish.  The first
-    failing job in that order raises its own exception here, and leaving
-    the pool stops the other worker; a worker that dies (killed, out of
-    memory) raises ``NumericalError``, and a worker whose parent dies exits
-    within moments.  Each job's warnings are emitted again here, in the same
+    failing job in that order raises its own exception here, and the other
+    worker is stopped; a worker that dies (killed, out of memory) raises
+    ``NumericalError``, and a worker whose parent dies exits within moments.  Each job's warnings are emitted again here, in the same
     order, so this process's warning filters apply.
     """
-    import multiprocessing  # only reproduce starts processes
+    import multiprocessing.connection  # only reproduce starts processes
 
     check_parameter_points(cfg["steps"], "sweep steps")
     shared = {name.replace("-", "_"): cfg[name]
@@ -622,20 +637,45 @@ def _handle_reproduce(cfg: dict) -> list[tuple[str, bytes, str]]:
              for filename, flags in crossovers]
 
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    outputs, before = [], set(multiprocessing.active_children())
-    with multiprocessing.get_context(method).Pool(2, _exit_with_parent) as pool:
-        workers = set(multiprocessing.active_children()) - before
-        pending = [pool.apply_async(_recording_warnings, job) for job in jobs]
-        for result in pending:
-            while not result.ready():  # the pool would wait forever for a killed worker's job
-                result.wait(0.1)
-                ended = [w.exitcode for w in workers if w.exitcode is not None]
-                if ended:
-                    raise NumericalError(f"a reproduce worker process ended (exit code "
-                                         f"{ended[0]}) before returning its result")
-            triples, caught = result.get()
+    context = multiprocessing.get_context(method)
+    workers = {}  # this process's end of each worker's pipe -> that worker
+    pending, running, finished, outputs = list(enumerate(jobs))[::-1], {}, {}, []
+
+    def hand_out(conn):
+        if pending:
+            running[conn], job = pending.pop()
+            conn.send(job)
+
+    try:
+        for _ in range(2):
+            conn, child_conn = context.Pipe()
+            process = context.Process(target=_worker, args=(child_conn,), daemon=True)
+            process.start()
+            workers[conn] = process
+            child_conn.close()
+            hand_out(conn)
+        for index in range(len(jobs)):
+            while index not in finished:
+                for conn in multiprocessing.connection.wait(list(running)):
+                    try:
+                        finished[running.pop(conn)] = conn.recv()
+                        hand_out(conn)
+                    except (EOFError, OSError):  # the worker ended without a result
+                        workers[conn].join()
+                        raise NumericalError(
+                            f"a reproduce worker process ended (exit code "
+                            f"{workers[conn].exitcode}) before returning its result") from None
+            ok, result = finished.pop(index)
+            if not ok:
+                raise result
+            triples, caught = result
             _rewarn(caught)
             outputs += triples
+    finally:  # stops a worker still running a job after a failure
+        for conn, process in workers.items():
+            process.terminate()
+            process.join()
+            conn.close()
     return outputs
 
 
