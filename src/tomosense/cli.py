@@ -603,15 +603,23 @@ def _handle_reproduce(cfg: dict) -> list[tuple[str, bytes, str]]:
     jobs, run on two worker processes (forked where the platform can fork)
     and collected in declared order: the tomograms and the empirical
     crossover, which check user input (tomogram angles, shots, seed), come
-    first, so bad input fails before the slow stages finish.  The first
-    failing job in that order raises its own exception here, and the other
-    worker is stopped; a worker that dies (killed, out of memory) raises
-    ``NumericalError``, and a worker whose parent dies exits within moments.  Each job's warnings are emitted again here, in the same
-    order, so this process's warning filters apply.
+    first, so bad input fails before the slow stages finish; an outdir whose
+    nearest existing ancestor is not a writable directory fails before any
+    job starts.  The first failing job in that order raises its own
+    exception here, and the other worker is stopped; a worker that dies
+    (killed, out of memory) raises ``NumericalError``, and a worker whose
+    parent dies exits within moments.  Each job's warnings are emitted again
+    here, in the same order, so this process's warning filters apply.
     """
     import multiprocessing.connection  # only reproduce starts processes
 
     check_parameter_points(cfg["steps"], "sweep steps")
+    ancestor = os.path.abspath(cfg["outdir"])
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise ValidationError(
+            f"cannot write {cfg['outdir']}: {ancestor} is not a writable directory")
     shared = {name.replace("-", "_"): cfg[name]
               for name in ("steps", "theta-count", "grid-points", "shots", "seed", "tail-tol")}
 

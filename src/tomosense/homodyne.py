@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .states import FockVector, StateSpec, build_state, check_angle
-from .tomography import MAX_GRID_POINTS, MAX_THETA_COUNT, auto_grid, pdf_slice
+from .tomography import MAX_GRID_POINTS, MAX_THETA_COUNT, _slice_cdf, auto_grid
 from .transport import PARAM_TOL, CrossoverResult, _scan_and_bisect, w1_empirical
 
 SAMPLING_GRID_POINTS = 8192
@@ -197,9 +197,9 @@ def _inverse_cdf(v: FockVector, theta: float) -> tuple[_Pchip, float, float]:
     of at most 1e-100 are dropped: flat ones, and ones whose PCHIP slopes overflow.
     """
     grid = auto_grid(v, n_points=SAMPLING_GRID_POINTS)
-    sl = pdf_slice(v, theta, grid)
-    keep = np.concatenate([[True], np.diff(sl.cdf) > 1e-100])
-    cdf = sl.cdf[keep]
+    cdf = _slice_cdf(v, theta, grid)
+    keep = np.concatenate([[True], np.diff(cdf) > 1e-100])
+    cdf = cdf[keep]
     return _Pchip(cdf, grid.points()[keep]), cdf[0], cdf[-1]
 
 

@@ -439,8 +439,6 @@ def normalization_constant(kind: str, m: int, p: SqueezeParams, method: str = "c
 
 
 def _norm_series(r: float, m: int, added: bool) -> float:
-    from scipy.special import logsumexp  # the only scipy.special use; builds never reach it
-
     t = math.tanh(r)
     if t == 0.0:
         return float(math.factorial(m)) if added else 0.0
@@ -464,7 +462,7 @@ def _norm_series(r: float, m: int, added: bool) -> float:
         n += 1
         if n > 50_000:  # pragma: no cover
             raise TruncationFailure("normalization series did not converge")
-    return float(math.exp(logsumexp(terms)))
+    return math.exp(top + math.log(math.fsum(math.exp(lg - top) for lg in terms)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,18 +22,19 @@ table per abscissa set (the grid points and the three Gauss-Legendre node
 sets), built once at the largest cutoff: row ``n`` of the recurrence does not
 depend on how many rows follow it, so each state reads the exact rows
 ``psi[:cutoff+1]`` it would have computed alone, and the angle enters only
-through the coefficients.  A one-off call keeps one table alive at a time; a
-``HermiteTables`` holder passed in by the caller builds the four tables of a
-grid with one recurrence over the concatenated abscissae (each column depends
-only on its own abscissa, so every value is the per-set one) and keeps them
-for later calls on that grid.
+through the coefficients.  The tables come from a ``HermiteTables`` holder,
+the caller's or a new one, which builds the four of a grid with one
+recurrence over the concatenated abscissae (each column depends only on its
+own abscissa, so every value is the per-set one) and keeps them for later
+calls on that grid.  The sampler reads only the CDF, so its slices build the
+three node tables one at a time and no PDF.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -199,45 +200,44 @@ def pdf_slices(vectors: Sequence[FockVector], thetas: Sequence[float],
     Each theta gives ``[pdf_slice(v, theta, grid) for v in vectors]``, byte
     for byte.  Each abscissa set gets a single Hermite table at the largest
     cutoff, which every (theta, state) reads by row prefix; the tables come
-    from ``tables`` when one is given, else are built one at a time.
+    from ``tables``, or from a new holder when none is given.
     """
-    n_max = max(v.cutoff for v in vectors)
-    coeffs = [[_rotated_coefficients(v, t) for v in vectors] for t in thetas]
-    if tables is None:
-        # One table alive at a time: building the four together for the
-        # sampler's 8192-point slices raised sampled_crossover peak memory
-        # from 93 to 112 MB.
-        sets = _abscissae(grid)
-        table = lambda key: hermite_function(n_max, sets[key])  # noqa: E731
-    else:
-        table = tables.get(grid, n_max).__getitem__
+    psi = (tables or HermiteTables()).get(grid, max(v.cutoff for v in vectors))
+    angles = [t for t in thetas for _ in vectors]  # one per slice, in (theta, state) order
+    coeffs = [_rotated_coefficients(v, t) for t in thetas for v in vectors]
+    slices = [DistributionSlice(grid, t, pdf, cdf) for t, pdf, cdf in zip(
+        angles, _densities(coeffs, psi[0]), _cdfs(coeffs, angles, grid, psi.__getitem__))]
+    return [slices[i:i + len(vectors)] for i in range(0, len(slices), len(vectors))]
 
-    def densities(key):
-        psi = table(key)
-        return [_densities(c, psi) for c in coeffs]
 
-    pdfs = densities(0)
-    h = grid.spacing
-    increments = [[np.zeros(grid.n_points - 1) for _ in vectors] for _ in thetas]
+def _slice_cdf(v: FockVector, theta: float, grid: QuadratureGrid) -> np.ndarray:
+    """``pdf_slice(v, theta, grid).cdf`` from its three node tables, built one at a time."""
+    sets = _abscissae(grid)
+    return _cdfs([_rotated_coefficients(v, theta)], [theta], grid,
+                 lambda key: hermite_function(v.cutoff, sets[key]))[0]
+
+
+def _cdfs(coeffs: list[np.ndarray], thetas: list[float], grid: QuadratureGrid,
+          table: Callable[[int], np.ndarray]) -> list[np.ndarray]:
+    """CDF per coefficient vector from its Gauss-Legendre cell increments.
+
+    ``table(key)`` gives the Hermite table of node set ``key`` (1-3); each is
+    dropped before the next is built.  A CDF that captures less than 1 - 1e-8
+    of the probability raises GridTooNarrow naming its theta.
+    """
+    increments = [np.zeros(grid.n_points - 1) for _ in coeffs]
     for key, weight in enumerate(_GL_WEIGHTS, start=1):
-        for incs, dens in zip(increments, densities(key)):
-            for inc, density in zip(incs, dens):
-                inc += weight * density
-
-    per_theta = []
-    for t, theta_pdfs, theta_incs in zip(thetas, pdfs, increments):
-        slices = []
-        for pdf, inc in zip(theta_pdfs, theta_incs):
-            cdf = np.concatenate([[0.0], np.cumsum(inc * h)])
-            deficit = 1.0 - cdf[-1]
-            if deficit > 1e-8:
-                raise GridTooNarrow(
-                    f"grid half-width {grid.x_max:g} drops {deficit:.3e} of the probability "
-                    f"at theta={t:g}"
-                )
-            slices.append(DistributionSlice(grid, t, pdf, np.minimum(cdf, 1.0)))
-        per_theta.append(slices)
-    return per_theta
+        for inc, density in zip(increments, _densities(coeffs, table(key))):
+            inc += weight * density
+    cdfs = []
+    for t, inc in zip(thetas, increments):
+        cdf = np.concatenate([[0.0], np.cumsum(inc * grid.spacing)])
+        deficit = 1.0 - cdf[-1]
+        if deficit > 1e-8:
+            raise GridTooNarrow(f"grid half-width {grid.x_max:g} drops {deficit:.3e} "
+                                f"of the probability at theta={t:g}")
+        cdfs.append(np.minimum(cdf, 1.0))
+    return cdfs
 
 
 def _abscissae(grid: QuadratureGrid) -> list[np.ndarray]:
@@ -310,11 +310,10 @@ def tomogram(v: FockVector, theta_count: int, grid: QuadratureGrid) -> Tomogram:
     xs = grid.points()
     psi = hermite_function(v.cutoff, xs)
     rows = np.empty((theta_count, len(xs)))
+    worst = 0.0  # checked row by row, so no check holds a full-size temporary
     for i, theta in enumerate(thetas):
         rows[i] = _densities([_rotated_coefficients(v, theta)], psi)[0]
-
-    norms = np.trapezoid(rows, xs, axis=1)
-    worst = float(np.max(np.abs(norms - 1.0)))
+        worst = max(worst, abs(float(np.trapezoid(rows[i], xs)) - 1.0))
     if worst > _ROW_NORM_TOL:
         raise GridTooNarrow(f"tomogram row normalization off by {worst:.3e}")
     _verify_symmetry(v, thetas, rows, psi)
@@ -325,7 +324,7 @@ def _verify_symmetry(v, thetas, rows, psi):
     count = len(thetas)
     if count % 2 == 0:
         half = count // 2
-        err = float(np.max(np.abs(rows[half:] - rows[:half, ::-1])))
+        err = max(float(np.max(np.abs(rows[half + i] - rows[i, ::-1]))) for i in range(half))
     else:
         # no theta + pi on the grid; probe a few rows explicitly
         shifted = _densities([_rotated_coefficients(v, t + math.pi) for t in thetas[:3]], psi)

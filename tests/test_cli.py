@@ -323,6 +323,20 @@ def test_sizes_above_bound_exit_2_before_any_table(tmp_path, monkeypatch, capsys
     assert not out.exists()
 
 
+def test_unwritable_reproduce_outdir_exits_2_before_any_table(tmp_path, monkeypatch, capsys):
+    def no_table(*args):
+        raise AssertionError("Hermite table built for an unwritable outdir")
+
+    monkeypatch.setattr(tomography, "hermite_function", no_table)
+    plain = tmp_path / "plain"
+    plain.write_text("not a directory\n")
+    for outdir in (plain, plain / "run" / "deeper"):
+        assert run_cli("reproduce", "--outdir", outdir, "--steps", 2, "--theta-count", 16,
+                       "--grid-points", 256, "--empirical", 0) == 2
+        assert str(outdir) in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["plain"]
+
+
 def test_shots_above_bound_exit_2_without_sampling(tmp_path, monkeypatch, capsys):
     def no_uniforms(*args):
         raise AssertionError("uniforms drawn for an invalid shot count")
@@ -522,6 +536,9 @@ assert cli.main(["empirical-crossover", "--shots", "20000", "--scan-points", "8"
                  "--out", crossing]) == 0
 report["empirical"] = loaded()
 report["empirical_sha256"] = sha256(crossing)
+from tomosense.states import SqueezeParams, normalization_constant
+normalization_constant("added", 2, SqueezeParams(0.5), method="series")
+report["series"] = loaded()
 print(json.dumps(report))
 """
 SAMPLE_CSV_SHA256 = "6d19ab6992713684653cfde13de88f29f4f39f98549da8b18a9c15f9ce04cf65"
@@ -534,7 +551,7 @@ def test_cold_start_loads_no_scipy(tmp_path):
     proc = run_fresh("-c", COLD_START_SCRIPT, tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    for stage in ("import", "exact", "sample", "empirical"):
+    for stage in ("import", "exact", "sample", "empirical", "series"):
         assert report[stage] == [], stage
     assert report["sample_sha256"] == SAMPLE_CSV_SHA256
     assert report["empirical_sha256"] == EMPIRICAL_JSON_SHA256

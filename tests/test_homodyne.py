@@ -80,6 +80,13 @@ def test_sampling_drops_cdf_steps_too_small_for_pchip(spec):
     assert np.all(np.isfinite(rec.samples))
 
 
+def test_inverse_cdf_holds_one_hermite_table_at_a_time():
+    # a HermiteTables holder would build the grid's four tables at once
+    v = build_state(svs_spec(r=0.6, m=2))
+    _, peak = traced_peak(homodyne._inverse_cdf, v, 0.0)
+    assert peak < 2 * (v.cutoff + 1) * (SAMPLING_GRID_POINTS - 1) * 8
+
+
 # ---------------------------------------------------------------------------
 # the NumPy PCHIP port against scipy's PchipInterpolator
 # ---------------------------------------------------------------------------

@@ -334,6 +334,14 @@ def test_tomogram_row_checks_and_symmetry(default_r):
     assert row0.argmax() in (len(xs) // 2 - 1, len(xs) // 2)
 
 
+def test_tomogram_checks_hold_no_full_size_temporary():
+    # the row norms and the symmetric row pairs are checked one row at a time
+    v = build_svs_family(SqueezeParams(0.6), 2)
+    tg, peak = traced_peak(tomogram, v, 128, auto_grid(v))
+    assert tg.values.shape == (128, 2048)
+    assert peak <= 2 * tg.values.nbytes
+
+
 def test_tomogram_odd_theta_count_probe_path(default_r):
     v = build_svs_family(SqueezeParams(default_r), 1)
     tg = tomogram(v, 17, auto_grid(v))
