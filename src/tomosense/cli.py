@@ -24,13 +24,12 @@ import os
 import re
 import sys
 import tempfile
-import warnings
 from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _workers
 from .errors import NumericalError, ValidationError
 from .homodyne import (
     MeasurementRecord,
@@ -543,55 +542,9 @@ def _sweep_panel(cfgs: list[dict], summary_cfg: dict | None) -> list[tuple[str, 
     return outputs
 
 
-def _recording_warnings(func, *args):
-    """``(func(*args), the warnings it emitted)``, each warning as a
-    (message, category, filename, lineno) record for ``_rewarn``."""
-    with warnings.catch_warnings(record=True) as caught:
-        result = func(*args)
-    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
-
-
-def _rewarn(caught: list[tuple]) -> None:
-    """Emit warnings recorded in another process here, each under the module
-    and warning registry of its file, as ``warnings.warn`` does, so this
-    process's filters (and their once-per-location memory) apply."""
-    modules = {getattr(mod, "__file__", None): mod for mod in list(sys.modules.values())}
-    for message, category, filename, lineno in caught:
-        mod = modules.get(filename)
-        registry = vars(mod).setdefault("__warningregistry__", {}) if mod else None
-        warnings.warn_explicit(message, category, filename, lineno,
-                               getattr(mod, "__name__", None), registry)
-
-
-def _worker(conn) -> None:
-    """A reproduce worker: run each job that arrives on ``conn`` and send back
-    ``(True, _recording_warnings(*job))`` or ``(False, the exception)``.
-
-    Each worker has a pipe of its own and shares no lock with its parent or
-    the other worker, so a worker stopped at any point leaves nothing held.
-    It ends as soon as the process that started it ends, rather than
-    finishing its job as an orphan whose result has nowhere to go.
-    """
-    import multiprocessing.connection
-    import threading
-
-    sentinel = multiprocessing.parent_process().sentinel
-
-    def watch():
-        multiprocessing.connection.wait([sentinel])
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
-    while True:
-        try:
-            job = conn.recv()
-        except EOFError:  # the parent has closed its end or ended
-            return
-        try:
-            reply = (True, _recording_warnings(*job))
-        except Exception as exc:
-            reply = (False, exc)
-        conn.send(reply)
+def _call(job: tuple):
+    """Run a reproduce job, ``(function, *args)``."""
+    return job[0](*job[1:])
 
 
 def _handle_reproduce(cfg: dict) -> list[tuple[str, bytes, str]]:
@@ -600,19 +553,19 @@ def _handle_reproduce(cfg: dict) -> list[tuple[str, bytes, str]]:
     Each subcommand product is resolved by ``resolve_config`` from the flags
     reproduce sets, exactly as a rerun from its ``.meta`` resolves it; each
     sweep panel is one multi-angle sweep.  The products are independent
-    jobs, run on two worker processes (forked where the platform can fork)
-    and collected in declared order: the tomograms and the empirical
-    crossover, which check user input (tomogram angles, shots, seed), come
-    first, so bad input fails before the slow stages finish; an outdir whose
-    nearest existing ancestor is not a writable directory fails before any
-    job starts.  The first failing job in that order raises its own
-    exception here, and the other worker is stopped; a worker that dies
-    (killed, out of memory) raises ``NumericalError``, and a worker whose
-    parent dies exits within moments.  Each job's warnings are emitted again
-    here, in the same order, so this process's warning filters apply.
+    jobs, run on two worker processes (``_workers.Workers``) and collected
+    in declared order: the tomograms and the empirical crossover, which
+    check user input (tomogram angles, shots, seed), come first, so bad
+    input fails before the slow stages finish; an outdir whose nearest
+    existing ancestor is not a writable directory fails before any job
+    starts.  The first failing job in that order raises its own exception
+    here, and the other worker is stopped; a worker that dies (killed, out
+    of memory) raises ``NumericalError``, and a worker whose parent dies
+    exits within moments.  Each job's warnings, a failing job's too, are
+    emitted again here, in the same order, so this process's warning
+    filters apply.  The workers are daemonic and may start no process, so
+    each crossover search in them evaluates in-process.
     """
-    import multiprocessing.connection  # only reproduce starts processes
-
     check_parameter_points(cfg["steps"], "sweep steps")
     ancestor = os.path.abspath(cfg["outdir"])
     while not os.path.exists(ancestor):
@@ -644,46 +597,10 @@ def _handle_reproduce(cfg: dict) -> list[tuple[str, bytes, str]]:
     jobs += [(_product, "crossover", sub_config("crossover", filename, **flags))
              for filename, flags in crossovers]
 
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    context = multiprocessing.get_context(method)
-    workers = {}  # this process's end of each worker's pipe -> that worker
-    pending, running, finished, outputs = list(enumerate(jobs))[::-1], {}, {}, []
-
-    def hand_out(conn):
-        if pending:
-            running[conn], job = pending.pop()
-            conn.send(job)
-
-    try:
-        for _ in range(2):
-            conn, child_conn = context.Pipe()
-            process = context.Process(target=_worker, args=(child_conn,), daemon=True)
-            process.start()
-            workers[conn] = process
-            child_conn.close()
-            hand_out(conn)
-        for index in range(len(jobs)):
-            while index not in finished:
-                for conn in multiprocessing.connection.wait(list(running)):
-                    try:
-                        finished[running.pop(conn)] = conn.recv()
-                        hand_out(conn)
-                    except (EOFError, OSError):  # the worker ended without a result
-                        workers[conn].join()
-                        raise NumericalError(
-                            f"a reproduce worker process ended (exit code "
-                            f"{workers[conn].exitcode}) before returning its result") from None
-            ok, result = finished.pop(index)
-            if not ok:
-                raise result
-            triples, caught = result
-            _rewarn(caught)
-            outputs += triples
-    finally:  # stops a worker still running a job after a failure
-        for conn, process in workers.items():
-            process.terminate()
-            process.join()
-            conn.close()
+    outputs = []
+    with _workers.Workers(_call) as workers:
+        for outcome in workers.imap(jobs):
+            outputs += _workers.replay(outcome)
     return outputs
 
 

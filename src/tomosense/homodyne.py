@@ -261,10 +261,11 @@ def empirical_crossover(pairs: tuple[PairBuilder, PairBuilder], theta: float,
 
     ``pairs`` maps a parameter value to the (reference, comparison) specs of
     each curve; every evaluation draws four records with fresh child seeds
-    keyed by an evaluation counter, so the whole search is a pure function
-    of (pairs, theta, bracket, shots, seed).  Each evaluation builds one
-    inverse CDF per distinct state, so a reference shared by both curves is
-    sliced once.  The expected location error scales like 3/sqrt(shots) in
+    keyed by its index in the serial search, so each one is a pure function
+    of (p, index), whichever process makes it, and the whole search is a
+    pure function of (pairs, theta, bracket, shots, seed).  Each evaluation
+    builds one inverse CDF per distinct state, so a reference shared by both
+    curves is sliced once.  The expected location error scales like 3/sqrt(shots) in
     the parameter; when that exceeds a tenth of the bracket the result is
     flagged low-confidence.
 
@@ -277,10 +278,8 @@ def empirical_crossover(pairs: tuple[PairBuilder, PairBuilder], theta: float,
     if not 2 <= shots <= MAX_SHOTS:
         raise ValidationError(f"shots must be in [2, {MAX_SHOTS}], got {shots}")
     check_angle(theta)
-    counter = 0
 
-    def h(p: float) -> float:
-        nonlocal counter
+    def h(p: float, counter: int) -> float:
         inverses = {}
         values = []
         for i, pair in enumerate(pairs):
@@ -293,7 +292,6 @@ def empirical_crossover(pairs: tuple[PairBuilder, PairBuilder], theta: float,
                 u.sort()
                 outcomes.append(inverse(u))
             values.append(w1_empirical(*outcomes))
-        counter += 1
         return values[0] - values[1]
 
     result = _scan_and_bisect(h, bracket, scan_points, 2.0 * PARAM_TOL, math.inf)

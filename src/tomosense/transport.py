@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _workers
 from .errors import EmptySamples, GridMismatch, MultipleRootsWarning, ValidationError
 from .states import StateSpec, build_state, mean_photon_number
 from .tomography import (
@@ -271,46 +272,67 @@ def find_crossover(curve_a: W1Curve, curve_b: W1Curve, bracket: tuple[float, flo
     residual |h| at the midpoint is below ``RESIDUAL_TOL``, or for at most
     ``MAX_BISECTIONS`` evaluations.
     """
-    return _scan_and_bisect(lambda p: curve_a(p, theta) - curve_b(p, theta), bracket,
-                            scan_points, PARAM_TOL, RESIDUAL_TOL)
+    return _scan_and_bisect(lambda p, counter: curve_a(p, theta) - curve_b(p, theta),
+                            bracket, scan_points, PARAM_TOL, RESIDUAL_TOL)
 
 
-def _scan_and_bisect(h: Callable[[float], float], bracket: tuple[float, float],
+def _scan_and_bisect(h: Callable[[float, int], float], bracket: tuple[float, float],
                      scan_points: int, width_tol: float, residual_tol: float) -> CrossoverResult:
     """Scan h for sign changes (warning if there are several) and bisect the first.
 
+    ``h(p, counter)`` gets the index of its evaluation in the serial search:
+    scan point i gets i, and bisection step k gets ``scan_points + k``.
     Bisection stops after evaluating a midpoint ``mid`` when h(mid) == 0, or
     when the cell ``mid`` bisects is narrower than ``width_tol`` and
     |h(mid)| < ``residual_tol``, or after ``MAX_BISECTIONS`` evaluations; so
     even a scan cell already below ``width_tol`` reports a finite residual.
+
+    Every evaluation goes through one evaluation map, which runs on two
+    forked workers where it can (``_workers.evaluation_map``).  The scan
+    points are split between them.  Each bisection round sends its midpoint
+    to one worker, and to the other the midpoint the next round meets if
+    the root lies in the half the secant through the bracket ends points
+    to.  A guessed outcome is used only when the serial search reaches that
+    (counter, p); otherwise it is dropped with any exception or warning it
+    raised.  So the result, the warnings and the exceptions are those of
+    the serial search; in-process, the map evaluates exactly its points.
     """
     lo, hi = bracket
     _check_range(lo, hi, "bracket")
     check_parameter_points(scan_points, "scan points")
     ps = np.linspace(lo, hi, scan_points)
-    hs = np.array([h(p) for p in ps])
-    changes = np.nonzero(np.diff(np.sign(hs)) != 0)[0]
-    n_changes = int(len(changes))
-    if n_changes == 0:
-        residual = float(min(abs(hs[0]), abs(hs[-1])))
-        return CrossoverResult(False, None, bracket, residual, scan_points, 0)
-    if n_changes > 1:
-        warnings.warn(
-            f"{n_changes} sign changes in [{lo:g}, {hi:g}]; refining the first",
-            MultipleRootsWarning,
-            stacklevel=3,
-        )
-    a, b = float(ps[changes[0]]), float(ps[changes[0] + 1])
-    ha = float(hs[changes[0]])
-    for _ in range(MAX_BISECTIONS):
-        mid = 0.5 * (a + b)
-        hmid = h(mid)
-        if hmid == 0.0 or (b - a < width_tol and abs(hmid) < residual_tol):
-            break
-        if (hmid > 0) == (ha > 0):
-            a, ha = mid, hmid
-        else:
-            b = mid
+    with _workers.evaluation_map(lambda job: h(job[1], job[0])) as evaluate:
+        hs = np.array([_workers.replay(out) for out in evaluate.imap(list(enumerate(ps)))])
+        changes = np.nonzero(np.diff(np.sign(hs)) != 0)[0]
+        n_changes = int(len(changes))
+        if n_changes == 0:
+            residual = float(min(abs(hs[0]), abs(hs[-1])))
+            return CrossoverResult(False, None, bracket, residual, scan_points, 0)
+        if n_changes > 1:
+            warnings.warn(
+                f"{n_changes} sign changes in [{lo:g}, {hi:g}]; refining the first",
+                MultipleRootsWarning,
+                stacklevel=3,
+            )
+        a, b = float(ps[changes[0]]), float(ps[changes[0] + 1])
+        ha, hb = float(hs[changes[0]]), float(hs[changes[0] + 1])
+        ahead = {}  # (counter, p) -> outcome, of this round's point and its guessed successor
+        for k in range(MAX_BISECTIONS):
+            mid = 0.5 * (a + b)
+            job = (scan_points + k, mid)
+            if job not in ahead:
+                jobs = [job]
+                if evaluate.parallel:  # the secant root lies left of mid iff |ha| < |hb|
+                    guess = 0.5 * (a + mid) if abs(ha) < abs(hb) else 0.5 * (mid + b)
+                    jobs.append((job[0] + 1, guess))
+                ahead = dict(zip(jobs, evaluate.imap(jobs)))
+            hmid = _workers.replay(ahead.pop(job))
+            if hmid == 0.0 or (b - a < width_tol and abs(hmid) < residual_tol):
+                break
+            if (hmid > 0) == (ha > 0):
+                a, ha = mid, hmid
+            else:
+                b, hb = mid, hmid
     return CrossoverResult(True, mid, bracket, abs(hmid), scan_points, n_changes)
 
 

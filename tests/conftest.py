@@ -76,3 +76,25 @@ def no_child_process_left():
     yield
     left = _child_pids() - before
     assert not left, f"child processes left alive: {sorted(left)}"
+
+
+# the tests that patch this process before a search or reproduce starts its
+# workers, or that run code in a daemonic process, need forked processes
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="needs forked processes")
+
+
+def run_in_daemon(func):
+    """``func()``, run in a forked daemonic process, which may start no process
+    of its own; ``func`` reaches it by inheritance, and its result is pickled."""
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    process = context.Process(target=lambda: sender.send(func()), daemon=True)
+    process.start()
+    sender.close()
+    try:
+        return receiver.recv()
+    finally:
+        receiver.close()
+        process.join(timeout=60)
+        assert not process.is_alive()

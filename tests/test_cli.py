@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import doubles
+from conftest import doubles, needs_fork
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -557,9 +557,11 @@ def test_cold_start_loads_no_scipy(tmp_path):
     assert report["empirical_sha256"] == EMPIRICAL_JSON_SHA256
 
 
-def test_import_loads_no_multiprocessing():
-    # only reproduce starts worker processes, and imports multiprocessing to do so
-    proc = run_fresh("-c", "import sys, tomosense.cli; "
+@pytest.mark.parametrize("module", ["tomosense", "tomosense.cli"])
+def test_import_loads_no_multiprocessing(module):
+    # reproduce and the crossover searches import multiprocessing when they
+    # start worker processes, not before
+    proc = run_fresh("-c", f"import sys, {module}; "
                            "print(sorted(m for m in sys.modules if 'multiprocessing' in m))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -680,10 +682,13 @@ def _is_running(pid: str) -> bool:
 
 @pytest.mark.skipif(not glob.glob(f"/proc/{os.getpid()}/task/*/children"),
                     reason="finds the worker processes in /proc")
-def test_reproduce_workers_exit_when_their_parent_is_killed(tmp_path):
-    proc = subprocess.Popen([sys.executable, "-m", "tomosense.cli", "reproduce",
-                             "--outdir", str(tmp_path / "run")], env=fresh_env(),
-                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+@pytest.mark.parametrize("args", [["reproduce", "--outdir", "run"],
+                                  ["empirical-crossover", "--out", "run/crossover.json"]],
+                         ids=["reproduce", "empirical-crossover"])
+def test_reproduce_workers_exit_when_their_parent_is_killed(tmp_path, args):
+    proc = subprocess.Popen([sys.executable, "-m", "tomosense.cli", *args], cwd=tmp_path,
+                            env=fresh_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            text=True)
     try:
         workers, deadline = set(), time.monotonic() + 60
         while len(workers) < 2 and time.monotonic() < deadline:
@@ -704,12 +709,6 @@ def test_reproduce_workers_exit_when_their_parent_is_killed(tmp_path):
     proc.stderr.close()
 
 
-# the failure tests patch this process before reproduce starts its workers,
-# which only forked workers inherit
-needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                                reason="workers inherit a patch only when forked")
-
-
 @needs_fork
 @pytest.mark.parametrize("error,code", [(NumericalError, 3), (ValidationError, 2)])
 def test_reproduce_worker_failure_exits_with_its_code_and_writes_nothing(
@@ -728,15 +727,54 @@ def test_reproduce_worker_failure_exits_with_its_code_and_writes_nothing(
     assert multiprocessing.active_children() == []
 
 
+# runs that start worker processes: (module, a function the workers call,
+# the subcommand with its arguments, whose paths are relative to the test's
+# directory)
+WORKER_RUNS = {
+    "reproduce": (cli, "find_crossover",
+                  ["reproduce", "--outdir", "run", *SMALL_REPRODUCE_ARGS, "--empirical", 0]),
+    "crossover": (transport, "_w1_pair",
+                  ["crossover", "--out", "run/crossover.json", "--scan-points", 4,
+                   "--grid-points", 256]),
+    "empirical-crossover": (homodyne, "w1_empirical",
+                            ["empirical-crossover", "--out", "run/crossover.json",
+                             "--shots", 2000, "--scan-points", 4]),
+}
+
+
+def run_with_worker_patch(tmp_path, monkeypatch, run, replacement):
+    """Exit code of ``WORKER_RUNS[run]`` in ``tmp_path`` with its function replaced;
+    the workers, forked from this process, inherit the replacement."""
+    module, name, args = WORKER_RUNS[run]
+    monkeypatch.setattr(module, name, replacement)
+    monkeypatch.chdir(tmp_path)
+    return run_cli(*args)
+
+
 @needs_fork
-def test_reproduce_worker_that_dies_exits_3_instead_of_waiting(tmp_path, monkeypatch, capsys):
-    def dying_crossover(*args, **kwargs):
+@pytest.mark.parametrize("run", ["crossover", "empirical-crossover"])
+@pytest.mark.parametrize("error,code", [(NumericalError, 3), (ValidationError, 2)])
+def test_search_worker_failure_exits_with_its_code_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, run, error, code):
+    def failing(*args, **kwargs):
+        raise error(f"evaluation failed in process {os.getpid()}")
+
+    assert run_with_worker_patch(tmp_path, monkeypatch, run, failing) == code
+    err = capsys.readouterr().err
+    assert "evaluation failed in process" in err
+    assert f"process {os.getpid()}\n" not in err  # raised in a worker, not here
+    assert not (tmp_path / "run").exists()
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("run", ["reproduce", "empirical-crossover"])
+def test_reproduce_worker_that_dies_exits_3_instead_of_waiting(tmp_path, monkeypatch, capsys,
+                                                                run):
+    def dying(*args, **kwargs):
         os._exit(70)
 
-    monkeypatch.setattr(cli, "find_crossover", dying_crossover)
-    outdir = tmp_path / "run"
-    assert run_cli("reproduce", "--outdir", outdir, *SMALL_REPRODUCE_ARGS,
-                   "--empirical", 0) == 3
+    assert run_with_worker_patch(tmp_path, monkeypatch, run, dying) == 3
     assert "exit code 70" in capsys.readouterr().err
-    assert not outdir.exists() or not os.listdir(outdir)
+    assert not (tmp_path / "run").exists() or not os.listdir(tmp_path / "run")
     assert multiprocessing.active_children() == []

@@ -1,4 +1,5 @@
 import math
+import os
 import struct
 
 import numpy as np
@@ -28,7 +29,8 @@ from tomosense.transport import CrossoverResult
 from tomosense.tomography import MAX_GRID_POINTS, MAX_THETA_COUNT, auto_grid, pdf_slice
 from tomosense.transport import w1_cdf, w1_empirical, w1_states
 
-from conftest import EDGE_DOUBLES, doubles, ecs_spec, ocs_spec, svs_spec, traced_peak
+from conftest import (EDGE_DOUBLES, doubles, ecs_spec, needs_fork, ocs_spec, run_in_daemon,
+                      svs_spec, traced_peak)
 
 VAC_SVS_05 = 0.22199130323553978
 
@@ -214,6 +216,32 @@ def test_empirical_crossover_matches_shot_order_sampling():
     new = empirical_crossover(pairs, 0.0, (0.30, 0.60), 10**4, 2024, scan_points=12)
     assert new.found
     assert new == shot_order_crossover(pairs, 0.0, (0.30, 0.60), 10**4, 2024, 12)
+
+
+@needs_fork
+def test_empirical_crossover_in_a_daemonic_process_evaluates_the_serial_points_in_it():
+    calls = []
+
+    def recorded(pair):
+        def builder(p):
+            calls.append((os.getpid(), p))
+            return pair(p)
+
+        return builder
+
+    pairs = (recorded(state_pair(svs_spec(), svs_spec(m=1))),
+             state_pair(svs_spec(), svs_spec(m=2)))
+    reference = shot_order_crossover(pairs, 0.0, (0.30, 0.60), 10**4, 2024, 12)
+    visited = [p for _, p in calls]
+    calls.clear()
+
+    def search():
+        result = empirical_crossover(pairs, 0.0, (0.30, 0.60), 10**4, 2024, scan_points=12)
+        return result, calls, os.getpid()
+
+    result, calls_made, pid = run_in_daemon(search)
+    assert result == reference
+    assert calls_made == [(pid, p) for p in visited]
 
 
 def test_shots_validation(monkeypatch):

@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -39,7 +41,7 @@ from tomosense.transport import (
     w1_states,
 )
 
-from conftest import doubles, ecs_spec, ocs_spec, svs_spec
+from conftest import doubles, ecs_spec, needs_fork, ocs_spec, run_in_daemon, svs_spec
 
 VAC_SVS_05 = 0.22199130323553978  # (1 - e^{-1/2}) / sqrt(pi)
 
@@ -377,6 +379,91 @@ def test_crossover_json_record():
     assert set(record) == {"found", "location", "bracket_lo", "bracket_hi",
                            "residual", "scan_points"}
     assert record["scan_points"] == 16
+
+
+def kinked(p, theta):
+    """A curve whose slope jumps tenfold at its root, 0.37, so the secant guesses
+    of the parallel bisection miss several times."""
+    return (p - 0.37) * (1.0 if p < 0.37 else 10.0)
+
+
+def flat(p, theta):
+    return 0.0
+
+
+KINKED_SEARCH = ((0.0, 1.0), 0.0, 8)  # bracket, theta, scan points
+
+
+def serial_points(curve_a, curve_b):
+    """The points the written-out search evaluates on ``KINKED_SEARCH``, and its result."""
+    points = []
+
+    def recorded(p, theta):
+        points.append(p)
+        return curve_a(p, theta)
+
+    return points, written_out_find_crossover(recorded, curve_b, *KINKED_SEARCH)
+
+
+@pytest.mark.parametrize("failure", ["raise", "warn"])
+def test_crossover_drops_what_points_off_the_serial_path_raise_or_warn(tmp_path, failure):
+    visited, reference = serial_points(kinked, flat)
+    log = tmp_path / "evaluated"
+
+    def curve(p, theta):
+        with open(log, "a", encoding="utf-8") as fh:  # appended from whichever process
+            fh.write(f"{float(p)!r}\n")
+        if p not in visited:
+            if failure == "raise":
+                raise ValidationError(f"no serial evaluation at {p!r}")
+            warnings.warn(f"no serial evaluation at {p!r}", UserWarning)
+        return kinked(p, theta)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert find_crossover(curve, flat, *KINKED_SEARCH) == reference
+    assert caught == []
+    assert multiprocessing.active_children() == []
+    evaluated = {float(line) for line in log.read_text().split()}
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert evaluated > set(visited)  # guessed points, each failing, were dropped
+    else:
+        assert evaluated == set(visited)
+
+
+@pytest.mark.parametrize("index", [3, 8, 13])  # a scan point, the first and a later midpoint
+def test_crossover_raises_what_a_serial_point_raises(index):
+    visited, _ = serial_points(kinked, flat)
+
+    def curve(p, theta):
+        if p == visited[index]:
+            raise ValidationError(f"failed at {p!r}")
+        return kinked(p, theta)
+
+    with pytest.raises(ValidationError) as serial:
+        written_out_find_crossover(curve, flat, *KINKED_SEARCH)
+    with pytest.raises(ValidationError) as searched:
+        find_crossover(curve, flat, *KINKED_SEARCH)
+    assert type(searched.value) is type(serial.value)
+    assert str(searched.value) == str(serial.value)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_crossover_in_a_daemonic_process_evaluates_the_serial_points_in_it():
+    visited, reference = serial_points(kinked, flat)
+    calls = []
+
+    def curve(p, theta):
+        calls.append((os.getpid(), p))
+        return kinked(p, theta)
+
+    def search():
+        return find_crossover(curve, flat, *KINKED_SEARCH), calls, os.getpid()
+
+    result, calls, pid = run_in_daemon(search)
+    assert result == reference
+    assert calls == [(pid, p) for p in visited]
 
 
 # ---------------------------------------------------------------------------
