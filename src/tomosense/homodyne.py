@@ -265,9 +265,9 @@ def empirical_crossover(pairs: tuple[PairBuilder, PairBuilder], theta: float,
     of (p, index), whichever process makes it, and the whole search is a
     pure function of (pairs, theta, bracket, shots, seed).  Each evaluation
     builds one inverse CDF per distinct state, so a reference shared by both
-    curves is sliced once.  The expected location error scales like 3/sqrt(shots) in
-    the parameter; when that exceeds a tenth of the bracket the result is
-    flagged low-confidence.
+    curves is sliced once.  The expected location error scales like
+    3/sqrt(shots) in the parameter; when that exceeds a tenth of the bracket
+    the result is flagged low-confidence.
 
     The search is the exact one's (MultipleRootsWarning on several sign
     changes) with no residual target, stopping once a midpoint bisects a cell
