@@ -87,8 +87,6 @@ class Workers:
     a job after a failure.
     """
 
-    parallel = True
-
     def __init__(self, call):
         import multiprocessing
 
@@ -153,33 +151,22 @@ class Workers:
             yield finished.pop(index)
 
 
-class _InProcess:
-    """``Workers.imap`` in this process: each job runs when its outcome is taken,
-    so exceptions and warnings arise exactly where a serial loop meets them."""
-
-    parallel = False
-
-    def __init__(self, call):
-        self._call = call
-
-    def imap(self, jobs: list):
-        for job in jobs:
-            yield True, self._call(job), []
-
-
 @contextlib.contextmanager
 def evaluation_map(call):
-    """``Workers(call)``, or ``call`` in this process where workers cannot be forked.
+    """``(imap, parallel)``: ``Workers(call).imap`` and True, or an in-process
+    ``imap`` and False where this process cannot fork workers.
 
-    Forking is what hands ``call``, a closure, to the workers; without
+    Forking is what hands ``call``, a closure, to the workers.  Without
     ``fork``, or in a daemonic process (one of reproduce's workers), which
-    may not start children, the jobs run here, one at a time, in order.
+    may not start children, each job runs here when its outcome is taken,
+    so its exceptions and warnings arise exactly where a plain loop meets
+    them.
     """
     import multiprocessing
 
     if ("fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
-        yield _InProcess(call)
+        yield (lambda jobs: ((True, call(job), []) for job in jobs)), False
     else:
         with Workers(call) as workers:
-            yield workers
+            yield workers.imap, True

@@ -301,8 +301,8 @@ def _scan_and_bisect(h: Callable[[float, int], float], bracket: tuple[float, flo
     _check_range(lo, hi, "bracket")
     check_parameter_points(scan_points, "scan points")
     ps = np.linspace(lo, hi, scan_points)
-    with _workers.evaluation_map(lambda job: h(job[1], job[0])) as evaluate:
-        hs = np.array([_workers.replay(out) for out in evaluate.imap(list(enumerate(ps)))])
+    with _workers.evaluation_map(lambda job: h(job[1], job[0])) as (imap, parallel):
+        hs = np.array([_workers.replay(out) for out in imap(list(enumerate(ps)))])
         changes = np.nonzero(np.diff(np.sign(hs)) != 0)[0]
         n_changes = int(len(changes))
         if n_changes == 0:
@@ -322,10 +322,10 @@ def _scan_and_bisect(h: Callable[[float, int], float], bracket: tuple[float, flo
             job = (scan_points + k, mid)
             if job not in ahead:
                 jobs = [job]
-                if evaluate.parallel:  # the secant root lies left of mid iff |ha| < |hb|
+                if parallel:  # the secant root lies left of mid iff |ha| < |hb|
                     guess = 0.5 * (a + mid) if abs(ha) < abs(hb) else 0.5 * (mid + b)
                     jobs.append((job[0] + 1, guess))
-                ahead = dict(zip(jobs, evaluate.imap(jobs)))
+                ahead = dict(zip(jobs, imap(jobs)))
             hmid = _workers.replay(ahead.pop(job))
             if hmid == 0.0 or (b - a < width_tol and abs(hmid) < residual_tol):
                 break
