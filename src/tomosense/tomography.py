@@ -17,17 +17,31 @@ cumulative trapezoid: the trapezoid's O(h^2) pointwise bias (~1e-5 at the
 default resolution) is visible at the transport module's 1e-6/1e-7
 tolerances, while the per-cell rule leaves the CDF exact to ~1e-12.
 
-Slices of several states at several angles on one grid share one Hermite
-table per abscissa set (the grid points and the three Gauss-Legendre node
-sets), built once at the largest cutoff: row ``n`` of the recurrence does not
-depend on how many rows follow it, so each state reads the exact rows
-``psi[:cutoff+1]`` it would have computed alone, and the angle enters only
-through the coefficients.  The tables come from a ``HermiteTables`` holder,
-the caller's or a new one, which builds the four of a grid with one
+A slice reads its Hermite tables on one mirror half of its abscissae.  The
+grid points, the cell midpoints (the middle Gauss-Legendre node set) and the
+pair of outer node sets are each symmetric about 0, and the recurrence gives
+``psi_n(-x) = (-1)^n psi_n(x)`` exactly (each step is odd or even under
+``x -> -x``, and IEEE rounding is sign-symmetric; only the sign of an
+underflowed zero may differ).  So a slice tabulates only the non-negative
+grid points, the first outer node set and the non-negative midpoints, half
+the columns of the four full tables: the density at ``-x`` is the density at
+``x`` of the coefficients ``c_n (-1)^n``, and the last node set is the first
+one mirrored.  The values are the full-table ones, except that the matrix
+product may round a far-tail cell (density below about 1e-25) a few ulp
+apart.  ``tomogram`` keeps its full grid-point table, because its rows are
+pinned bit for bit to the full-table product, which a mirrored half moves
+in the far tail.
+
+Slices of several states at several angles on one grid share one table per
+abscissa set, built once at the largest cutoff: row ``n`` of the recurrence
+does not depend on how many rows follow it, so each state reads the exact
+rows ``psi[:cutoff+1]`` it would have computed alone, and the angle enters
+only through the coefficients.  The tables come from a ``HermiteTables``
+holder, the caller's or a new one, which builds the three of a grid with one
 recurrence over the concatenated abscissae (each column depends only on its
 own abscissa, so every value is the per-set one) and keeps them for later
 calls on that grid.  The sampler reads only the CDF, so its slices build the
-three node tables one at a time and no PDF.
+two node tables one at a time and no PDF.
 """
 
 from __future__ import annotations
@@ -43,7 +57,7 @@ from .states import CUTOFF_CAP, FockVector, check_angle, mean_photon_number
 
 MAX_ABSCISSA = 50.0
 DEFAULT_GRID_POINTS = 2048
-MAX_GRID_POINTS = 2**15  # held table at the capped cutoff: 513 x 4 x 2**15 x 8 B = 0.54 GB
+MAX_GRID_POINTS = 2**15  # held table at the capped cutoff: 513 x 2 x 2**15 x 8 B = 0.27 GB
 MAX_THETA_COUNT = 4 * CUTOFF_CAP  # a 2048 x 2**15 tomogram is no larger
 
 _ROW_NORM_TOL = 1e-8     # |integral of a tomogram row - 1|
@@ -205,13 +219,14 @@ def pdf_slices(vectors: Sequence[FockVector], thetas: Sequence[float],
     psi = (tables or HermiteTables()).get(grid, max(v.cutoff for v in vectors))
     angles = [t for t in thetas for _ in vectors]  # one per slice, in (theta, state) order
     coeffs = [_rotated_coefficients(v, t) for t in thetas for v in vectors]
+    pdfs = _unfolded_densities(coeffs, psi[0], grid.n_points)
     slices = [DistributionSlice(grid, t, pdf, cdf) for t, pdf, cdf in zip(
-        angles, _densities(coeffs, psi[0]), _cdfs(coeffs, angles, grid, psi.__getitem__))]
+        angles, pdfs, _cdfs(coeffs, angles, grid, psi.__getitem__))]
     return [slices[i:i + len(vectors)] for i in range(0, len(slices), len(vectors))]
 
 
 def _slice_cdf(v: FockVector, theta: float, grid: QuadratureGrid) -> np.ndarray:
-    """``pdf_slice(v, theta, grid).cdf`` from its three node tables, built one at a time."""
+    """``pdf_slice(v, theta, grid).cdf`` from its two node tables, built one at a time."""
     sets = _abscissae(grid)
     return _cdfs([_rotated_coefficients(v, theta)], [theta], grid,
                  lambda key: hermite_function(v.cutoff, sets[key]))[0]
@@ -221,13 +236,21 @@ def _cdfs(coeffs: list[np.ndarray], thetas: list[float], grid: QuadratureGrid,
           table: Callable[[int], np.ndarray]) -> list[np.ndarray]:
     """CDF per coefficient vector from its Gauss-Legendre cell increments.
 
-    ``table(key)`` gives the Hermite table of node set ``key`` (1-3); each is
-    dropped before the next is built.  A CDF that captures less than 1 - 1e-8
-    of the probability raises GridTooNarrow naming its theta.
+    ``table(1)`` gives the Hermite table of node set 1, which also serves
+    node set 3, its mirror image; ``table(2)`` gives that of the
+    non-negative midpoints (node set 2).  The first is dropped before the
+    second is built, and the increments add up sets 1, 2, 3 in that order.
+    A CDF that captures less than 1 - 1e-8 of the probability raises
+    GridTooNarrow naming its theta.
     """
+    outer = table(1)
+    first = _densities(coeffs, outer)
+    last = [d[::-1] for d in _densities([_mirrored(c) for c in coeffs], outer)]
+    del outer
+    middle = _unfolded_densities(coeffs, table(2), grid.n_points - 1)
     increments = [np.zeros(grid.n_points - 1) for _ in coeffs]
-    for key, weight in enumerate(_GL_WEIGHTS, start=1):
-        for inc, density in zip(increments, _densities(coeffs, table(key))):
+    for weight, densities in zip(_GL_WEIGHTS, (first, middle, last)):
+        for inc, density in zip(increments, densities):
             inc += weight * density
     cdfs = []
     for t, inc in zip(thetas, increments):
@@ -241,24 +264,50 @@ def _cdfs(coeffs: list[np.ndarray], thetas: list[float], grid: QuadratureGrid,
 
 
 def _abscissae(grid: QuadratureGrid) -> list[np.ndarray]:
-    """The grid points, then the three Gauss-Legendre node sets of its cells."""
+    """The tabulated abscissae of a grid: its non-negative points, the first
+    Gauss-Legendre node set of its cells, and the non-negative cell midpoints.
+
+    Each full set is symmetric about 0 (``QuadratureGrid.points`` is exactly
+    mirrored, and so are the midpoints), and the third node set is exactly
+    the first mirrored, ``mids + d == -(mids - d)[::-1]``.
+    """
     xs = grid.points()
     h = grid.spacing
     mids = 0.5 * (xs[:-1] + xs[1:])
-    return [xs] + [mids + 0.5 * h * node for node in _GL_NODES]
+    return [xs[len(xs) // 2:], mids + 0.5 * h * _GL_NODES[0], mids[len(mids) // 2:]]
+
+
+def _mirrored(c: np.ndarray) -> np.ndarray:
+    """Coefficients ``c_n (-1)^n`` of the wavefunction mirrored in x."""
+    out = c.copy()
+    out[1::2] = -out[1::2]
+    return out
+
+
+def _unfolded_densities(coeffs: list[np.ndarray], half: np.ndarray, n: int) -> list[np.ndarray]:
+    """Densities on a symmetric set of ``n`` abscissae from the table ``half``
+    of its non-negative ones (the last ``n - n // 2``, 0 included for odd ``n``).
+
+    The negative abscissae are the positive ones mirrored, so their
+    densities are those of the mirrored coefficients, in reverse order.
+    """
+    mirrored = _densities([_mirrored(c) for c in coeffs], half)
+    return [np.concatenate([m[n % 2:][::-1], d])
+            for d, m in zip(_densities(coeffs, half), mirrored)]
 
 
 class HermiteTables:
     """Hermite tables of the last grid sliced through this holder, for reuse.
 
     ``pdf_slices(..., tables=holder)`` takes its table for each abscissa set
-    (block 0 for the grid points, 1-3 for the Gauss-Legendre node sets) from
-    here.  The four are column blocks of one ``hermite_function`` call over
-    the concatenated abscissae; a column depends only on its own abscissa,
-    so each block equals the per-set table bit for bit.  A call on another
-    grid, or one that needs more rows, drops the held table before building
-    the new one; since rows are prefix-stable, reuse changes no value.  The
-    table lives as long as the holder.
+    from here: block 0 for the non-negative grid points, 1 for the first
+    Gauss-Legendre node set and 2 for the non-negative cell midpoints (see
+    ``_abscissae``).  The three are column blocks of one ``hermite_function``
+    call over the concatenated abscissae; a column depends only on its own
+    abscissa, so each block equals the per-set table bit for bit.  A call on
+    another grid, or one that needs more rows, drops the held table before
+    building the new one; since rows are prefix-stable, reuse changes no
+    value.  The table lives as long as the holder.
     """
 
     def __init__(self):

@@ -292,7 +292,9 @@ def _scan_and_bisect(h: Callable[[float, int], float], bracket: tuple[float, flo
     points are split between them.  Each bisection round sends its midpoint
     to one worker, and to the other the midpoint the next round meets if
     the root lies in the half the secant through the bracket ends points
-    to.  A guessed outcome is used only when the serial search reaches that
+    to; a round sure to end the search (the last allowed one, or with no
+    residual target a cell below ``width_tol``) sends no guess.  A guessed
+    outcome is used only when the serial search reaches that
     (counter, p); otherwise it is dropped with any exception or warning it
     raised.  So the result, the warnings and the exceptions are those of
     the serial search; in-process, the map evaluates exactly its points.
@@ -322,7 +324,9 @@ def _scan_and_bisect(h: Callable[[float, int], float], bracket: tuple[float, flo
             job = (scan_points + k, mid)
             if job not in ahead:
                 jobs = [job]
-                if parallel:  # the secant root lies left of mid iff |ha| < |hb|
+                last = (k + 1 == MAX_BISECTIONS
+                        or (b - a < width_tol and residual_tol == math.inf))
+                if parallel and not last:  # the secant root lies left of mid iff |ha| < |hb|
                     guess = 0.5 * (a + mid) if abs(ha) < abs(hb) else 0.5 * (mid + b)
                     jobs.append((job[0] + 1, guess))
                 ahead = dict(zip(jobs, imap(jobs)))

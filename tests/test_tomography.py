@@ -261,12 +261,12 @@ def test_held_tables_equal_fresh_tables():
 
 
 def per_set_tables(grid, n_max):
-    """Test-side copy of the per-set tables: one recurrence per abscissa set."""
+    """Test-side copy of the per-set tables: one recurrence per tabulated set,
+    the non-negative grid points, node set 1 and the non-negative midpoints."""
     xs = grid.points()
-    h = grid.spacing
     mids = 0.5 * (xs[:-1] + xs[1:])
-    nodes = [-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)]
-    return [hermite_function(n_max, x) for x in [xs] + [mids + 0.5 * h * nd for nd in nodes]]
+    node_set_1 = mids + 0.5 * grid.spacing * -math.sqrt(3.0 / 5.0)
+    return [hermite_function(n_max, x) for x in [xs[xs >= 0], node_set_1, mids[mids >= 0]]]
 
 
 @pytest.mark.parametrize("n_points", [64, 65, 2048, 2049])
@@ -289,6 +289,72 @@ def test_held_four_set_tables_equal_per_set_tables(n_points, monkeypatch):
         for block, ref in zip(blocks, per_set_tables(grid, n_max), strict=True):
             assert block.shape[1] == ref.shape[1]
             assert np.array_equal(block[:n_max + 1], ref)
+
+
+@pytest.mark.parametrize("n_points", [64, 65, 2048, 2049])
+def test_hermite_parity_is_exact(n_points):
+    # psi_n(-x) == (-1)^n psi_n(x) for every row up to the cap, at x = 0 too
+    # (odd n_points); where the Gaussian factor underflows to 0 the two may
+    # differ in the sign of a zero only
+    xs = QuadratureGrid(50.0, n_points).points()
+    assert (0.0 in xs) == (n_points % 2 == 1)
+    psi = hermite_function(tomography.CUTOFF_CAP, xs)
+    want = psi * (-1.0) ** np.arange(tomography.CUTOFF_CAP + 1)[:, None]
+    got = hermite_function(tomography.CUTOFF_CAP, -xs)
+    assert np.array_equal(got, want)
+    nonzero = want != 0.0
+    assert np.array_equal(got[nonzero].view(np.int64), want[nonzero].view(np.int64))
+
+
+def four_table_slice(v, theta, grid):
+    """pdf_slice written out with a full Hermite table for each of the four
+    abscissa sets, each density from real matrix products as the slices take
+    them, and the increments added up set by set."""
+    coeffs = v.amplitudes * np.exp(-1j * theta * np.arange(v.cutoff + 1)) if theta else v.amplitudes
+
+    def density(x):
+        rows = hermite_function(v.cutoff, x)
+        re = coeffs.real @ rows
+        if coeffs.imag.any():
+            return np.abs(re + 1j * (coeffs.imag @ rows)) ** 2
+        return np.abs(re) ** 2
+
+    xs = grid.points()
+    h = grid.spacing
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    nodes = (-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0))
+    weights = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
+    increments = np.zeros(len(mids))
+    for node, weight in zip(nodes, weights):
+        increments += weight * density(mids + 0.5 * h * node)
+    cdf = np.concatenate([[0.0], np.cumsum(increments * h)])
+    return density(xs), np.minimum(cdf, 1.0)
+
+
+def assert_equal_but_far_tail(got, want):
+    """Bit-equal where ``want`` exceeds 1e-25, within 16 ulp below that."""
+    assert got.shape == want.shape and np.all(want >= 0) and np.all(got >= 0)
+    ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+    assert np.all(ulps[want > 1e-25] == 0)
+    assert np.all(ulps <= 16)
+
+
+@pytest.mark.parametrize("n_points", [2048, 2049])
+@pytest.mark.parametrize("theta", [0.0, math.pi / 7, math.pi / 2])
+@pytest.mark.parametrize("build", [
+    lambda: build_svs_family(SqueezeParams(0.7), -2),
+    lambda: build_svs_family(SqueezeParams(0.7, 1.1), 3),
+    lambda: build_cat_family("even", CatParams(1.8), 2),
+    lambda: build_cat_family("odd", CatParams(complex(1.2, 0.7)), 0),
+])
+def test_slices_equal_the_four_full_table_route(build, theta, n_points):
+    v = build()
+    grid = auto_grid(v, n_points=n_points)
+    sl = pdf_slice(v, theta, grid)
+    pdf, cdf = four_table_slice(v, theta, grid)
+    assert_equal_but_far_tail(sl.pdf, pdf)
+    assert_equal_but_far_tail(sl.cdf, cdf)
+    assert_equal_but_far_tail(tomography._slice_cdf(v, theta, grid), cdf)
 
 
 def test_grid_too_narrow():

@@ -30,6 +30,7 @@ from tomosense.tomography import (
 from tomosense.transport import (
     CrossoverResult,
     _integrate_abs_difference,
+    _scan_and_bisect,
     SweepTable,
     equal_mean_alpha,
     equal_mean_parameter,
@@ -429,6 +430,42 @@ def test_crossover_drops_what_points_off_the_serial_path_raise_or_warn(tmp_path,
         assert evaluated > set(visited)  # guessed points, each failing, were dropped
     else:
         assert evaluated == set(visited)
+
+
+# the first round is the last; the sampled search's width, whose last round
+# meets a midpoint no earlier round guessed
+@pytest.mark.parametrize("width_tol", [0.5, 2e-4])
+def test_search_sends_no_guess_in_a_round_sure_to_end_it(tmp_path, width_tol):
+    # with no residual target, the round whose cell is below width_tol ends the search
+    bracket, scan_points = (0.0, 1.0), 8
+    ps = np.linspace(*bracket, scan_points)
+    hs = [kinked(p, 0.0) for p in ps]
+    i = next(i for i in range(scan_points - 1) if (hs[i] > 0) != (hs[i + 1] > 0))
+    a, b, ha, hb = ps[i], ps[i + 1], hs[i], hs[i + 1]
+    mids, guesses = [], []  # per round of the serial search: its midpoint, the guess sent with it
+    while True:
+        mid = 0.5 * (a + b)
+        mids.append(mid)
+        guesses.append(0.5 * (a + mid) if abs(ha) < abs(hb) else 0.5 * (mid + b))
+        hmid = kinked(mid, 0.0)
+        if hmid == 0.0 or b - a < width_tol:
+            break
+        if (hmid > 0) == (ha > 0):
+            a, ha = mid, hmid
+        else:
+            b, hb = mid, hmid
+    log = tmp_path / "evaluated"
+
+    def h(p, counter):
+        with open(log, "a", encoding="utf-8") as fh:  # appended from whichever process
+            fh.write(f"{float(p)!r}\n")
+        return kinked(p, 0.0)
+
+    result = _scan_and_bisect(h, bracket, scan_points, width_tol, math.inf)
+    assert result.location == mids[-1]
+    evaluated = {float(line) for line in log.read_text().split()}
+    assert guesses[-1] not in set(ps) | set(mids)
+    assert evaluated <= set(ps) | set(mids) | set(guesses[:-1])
 
 
 @pytest.mark.parametrize("index", [3, 8, 13])  # a scan point, the first and a later midpoint
