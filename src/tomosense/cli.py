@@ -272,14 +272,26 @@ def tomogram_csv(tg: Tomogram) -> bytes:
     The x column is formatted once into ``b",x,%.17g\\n"`` cells; joined by a
     row's theta text they make that row's template, which ``%`` fills from
     the row (``b'%.17g' % v`` is the ASCII of ``f"{v:.17g}"`` for every
-    double).  Each row's text goes straight into one buffer, so the whole
-    text exists once, not also as a list of rows.
+    double).  A row that is its own mirror image bit for bit (any row of a
+    state of definite parity) has its non-negative half formatted once and
+    that text reused for the negative half; bits, not values, are compared,
+    since 0.0 == -0.0 prints two ways.  Each row's text goes straight into
+    one buffer, so the whole text exists once, not also as a list of rows.
     """
-    cells = [b""] + [b",%.17g,%%.17g\n" % x for x in tg.x_grid.points().tolist()]
+    xs = tg.x_grid.points().tolist()
+    n = len(xs)
+    cells = [b""] + [b",%.17g,%%.17g\n" % x for x in xs]
+    shared = [b""] + [b",%.17g,%%b\n" % x for x in xs]
+    half = b"\n".join([b"%.17g"] * (n - n // 2))
     out = io.BytesIO()
     out.write(b"theta,x,w\n")
     for theta, row in zip(tg.theta_grid.tolist(), tg.values):
-        out.write((b"%.17g" % theta).join(cells) % tuple(row.tolist()))
+        bits = row.view(np.int64)
+        if np.array_equal(bits, bits[::-1]):
+            words = (half % tuple(row[n // 2:].tolist())).split(b"\n")
+            out.write((b"%.17g" % theta).join(shared) % tuple(words[n % 2:][::-1] + words))
+        else:
+            out.write((b"%.17g" % theta).join(cells) % tuple(row.tolist()))
     return out.getvalue()
 
 

@@ -101,7 +101,8 @@ class FockVector:
         # a NaN, an infinity or no amplitude at all fails the norm test too
         norm = math.sqrt(np.vdot(amps, amps).real)
         if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValidationError(f"Fock amplitudes must be finite with unit norm, got norm {norm!r}")
+            raise ValidationError(
+                f"Fock amplitudes must be finite with unit norm, got norm {norm!r}")
         if not 0.0 <= self.discarded_mass < 1.0:
             raise ValidationError(
                 f"discarded mass must be in [0, 1), got {self.discarded_mass!r}")

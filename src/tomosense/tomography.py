@@ -28,9 +28,11 @@ the columns of the four full tables: the density at ``-x`` is the density at
 ``x`` of the coefficients ``c_n (-1)^n``, and the last node set is the first
 one mirrored.  The values are the full-table ones, except that the matrix
 product may round a far-tail cell (density below about 1e-25) a few ulp
-apart.  ``tomogram`` keeps its full grid-point table, because its rows are
-pinned bit for bit to the full-table product, which a mirrored half moves
-in the far tail.
+apart.  A state of definite photon-number parity, whose odd or whose even
+coefficients are all zero, has ``c_n (-1)^n = +-c_n`` (up to the sign of
+zeros), and a sign-flipped product rounds to the negated value, so its
+mirrored density is its direct one exactly and is not computed again.  A
+tomogram row is the PDF of the slice at its angle, read the same way.
 
 Slices of several states at several angles on one grid share one table per
 abscissa set, built once at the largest cutoff: row ``n`` of the recurrence
@@ -245,7 +247,7 @@ def _cdfs(coeffs: list[np.ndarray], thetas: list[float], grid: QuadratureGrid,
     """
     outer = table(1)
     first = _densities(coeffs, outer)
-    last = [d[::-1] for d in _densities([_mirrored(c) for c in coeffs], outer)]
+    last = [d[::-1] for d in _mirrored_densities(coeffs, outer, first)]
     del outer
     middle = _unfolded_densities(coeffs, table(2), grid.n_points - 1)
     increments = [np.zeros(grid.n_points - 1) for _ in coeffs]
@@ -277,10 +279,22 @@ def _abscissae(grid: QuadratureGrid) -> list[np.ndarray]:
     return [xs[len(xs) // 2:], mids + 0.5 * h * _GL_NODES[0], mids[len(mids) // 2:]]
 
 
-def _mirrored(c: np.ndarray) -> np.ndarray:
-    """Coefficients ``c_n (-1)^n`` of the wavefunction mirrored in x."""
-    out = c.copy()
-    out[1::2] = -out[1::2]
+def _mirrored_densities(coeffs: list[np.ndarray], psi: np.ndarray,
+                        direct: list[np.ndarray]) -> list[np.ndarray]:
+    """Densities on the table ``psi`` of the coefficients ``c_n (-1)^n``, the
+    wavefunction mirrored in x, given the ``direct`` densities of ``coeffs``.
+
+    A vector of definite parity (its odd or its even entries all zero) is
+    mirrored to ``+-c`` up to the sign of zeros, whose density is the direct
+    one bit for bit, so that is reused.
+    """
+    out = []
+    for c, d in zip(coeffs, direct):
+        if c[::2].any() and c[1::2].any():
+            mirrored = c.copy()
+            mirrored[1::2] = -mirrored[1::2]
+            d = _densities([mirrored], psi)[0]
+        out.append(d)
     return out
 
 
@@ -291,9 +305,9 @@ def _unfolded_densities(coeffs: list[np.ndarray], half: np.ndarray, n: int) -> l
     The negative abscissae are the positive ones mirrored, so their
     densities are those of the mirrored coefficients, in reverse order.
     """
-    mirrored = _densities([_mirrored(c) for c in coeffs], half)
+    direct = _densities(coeffs, half)
     return [np.concatenate([m[n % 2:][::-1], d])
-            for d, m in zip(_densities(coeffs, half), mirrored)]
+            for d, m in zip(direct, _mirrored_densities(coeffs, half, direct))]
 
 
 class HermiteTables:
@@ -348,36 +362,41 @@ def _densities(coeffs: list[np.ndarray], psi: np.ndarray) -> list[np.ndarray]:
 def tomogram(v: FockVector, theta_count: int, grid: QuadratureGrid) -> Tomogram:
     """Full tomogram on theta uniform over [0, 2*pi).
 
-    Every row must integrate to 1 within 1e-8 and the pattern must satisfy
-    w(x, theta+pi) = w(-x, theta) within 1e-10; both are verified before
-    returning.
+    Row ``i`` is ``pdf_slice(v, theta_i, grid).pdf``, read from one Hermite
+    table on the non-negative grid points.  Every row must integrate to 1
+    within 1e-8 and the pattern must satisfy w(x, theta+pi) = w(-x, theta)
+    within 1e-10; both are verified before returning.
     """
     if not 16 <= theta_count <= MAX_THETA_COUNT:
         raise ValidationError(
             f"theta_count must be in [16, {MAX_THETA_COUNT}], got {theta_count}")
     thetas = 2.0 * math.pi * np.arange(theta_count) / theta_count
     xs = grid.points()
-    psi = hermite_function(v.cutoff, xs)
+    half = hermite_function(v.cutoff, _abscissae(grid)[0])
+
+    def row(theta):
+        return _unfolded_densities([_rotated_coefficients(v, theta)], half, grid.n_points)[0]
+
     rows = np.empty((theta_count, len(xs)))
     worst = 0.0  # checked row by row, so no check holds a full-size temporary
     for i, theta in enumerate(thetas):
-        rows[i] = _densities([_rotated_coefficients(v, theta)], psi)[0]
+        rows[i] = row(theta)
         worst = max(worst, abs(float(np.trapezoid(rows[i], xs)) - 1.0))
     if worst > _ROW_NORM_TOL:
         raise GridTooNarrow(f"tomogram row normalization off by {worst:.3e}")
-    _verify_symmetry(v, thetas, rows, psi)
+    _verify_symmetry(thetas, rows, row)
     return Tomogram(thetas, grid, rows)
 
 
-def _verify_symmetry(v, thetas, rows, psi):
+def _verify_symmetry(thetas, rows, row):
     count = len(thetas)
     if count % 2 == 0:
         half = count // 2
         err = max(float(np.max(np.abs(rows[half + i] - rows[i, ::-1]))) for i in range(half))
     else:
         # no theta + pi on the grid; probe a few rows explicitly
-        shifted = _densities([_rotated_coefficients(v, t + math.pi) for t in thetas[:3]], psi)
-        err = max(float(np.max(np.abs(w - row[::-1]))) for w, row in zip(shifted, rows))
+        err = max(float(np.max(np.abs(row(t + math.pi) - rows[i, ::-1])))
+                  for i, t in enumerate(thetas[:3]))
     if err > _SYMMETRY_TOL:
         raise NumericalError(f"tomogram symmetry w(x, theta+pi) = w(-x, theta) off by {err:.3e}")
 

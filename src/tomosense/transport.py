@@ -399,7 +399,8 @@ def w1_empirical(samples_a, samples_b) -> float:
     Equal-size inputs use the order-statistics form, the mean absolute
     difference of sorted samples.  Unequal sizes fall back to the exact
     integral of the absolute difference of the two step CDFs.  Samples must
-    be 1-D and finite, and close enough that the W1 sum fits in a double.  An input already in non-decreasing order (a record from
+    be 1-D and finite, and close enough that the W1 sum fits in a double.
+    An input already in non-decreasing order (a record from
     ``empirical_crossover``) is used as it is; sorting it would return the
     same values.  The inputs are never modified.
     """

@@ -357,6 +357,58 @@ def test_slices_equal_the_four_full_table_route(build, theta, n_points):
     assert_equal_but_far_tail(tomography._slice_cdf(v, theta, grid), cdf)
 
 
+SINGLE_PARITY_STATES = [
+    lambda: build_svs_family(SqueezeParams(0.6), -2),
+    lambda: build_svs_family(SqueezeParams(0.7, 1.1), 3),
+    lambda: build_cat_family("even", CatParams(1.8), 2),
+    lambda: build_cat_family("odd", CatParams(complex(1.2, 0.7))),
+]
+
+
+def counted_density_products(monkeypatch):
+    products = []
+
+    def counted(coeffs, psi):
+        products.extend(coeffs)
+        return densities(coeffs, psi)
+
+    densities = tomography._densities
+    monkeypatch.setattr(tomography, "_densities", counted)
+    return products
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 4])
+@pytest.mark.parametrize("build", SINGLE_PARITY_STATES)
+def test_single_parity_mirrored_density_is_the_direct_one(build, theta, monkeypatch):
+    # c_n (-1)^n is +-c up to the sign of zeros, and rounding is sign-symmetric,
+    # so the density of the mirrored coefficients is the direct one bit for bit
+    v = build()
+    grid = auto_grid(v, n_points=2049)
+    c = tomography._rotated_coefficients(v, theta)
+    mirrored = c * (-1.0) ** np.arange(len(c))
+    for psi in tomography.HermiteTables().get(grid, v.cutoff):
+        assert np.array_equal(tomography._densities([mirrored], psi)[0],
+                              tomography._densities([c], psi)[0])
+    # and so a slice computes one density product per tabulated set, not two
+    products = counted_density_products(monkeypatch)
+    pdf_slice(v, theta, grid)
+    assert len(products) == 3
+    del products[:]
+    tomography._slice_cdf(v, theta, grid)
+    assert len(products) == 2
+
+
+def test_mixed_parity_slices_still_compute_the_mirrored_density(monkeypatch):
+    v = build_cat_family("coherent", CatParams(complex(1.2, 0.7)))
+    grid = auto_grid(v, n_points=2049)
+    products = counted_density_products(monkeypatch)
+    pdf_slice(v, 0.3, grid)
+    assert len(products) == 6
+    del products[:]
+    tomography._slice_cdf(v, 0.3, grid)
+    assert len(products) == 4
+
+
 def test_grid_too_narrow():
     v = build_svs_family(SqueezeParams(0.9), 0)
     with pytest.raises(GridTooNarrow):
@@ -439,6 +491,21 @@ def test_complex_alpha_tomogram_rows_match_complex_product_rows():
                                rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("n_points", [2048, 2049, 513])
+@pytest.mark.parametrize("build", [
+    lambda: build_svs_family(SqueezeParams(0.6), -2),
+    lambda: build_cat_family("even", CatParams(1.8), 2),
+    lambda: build_cat_family("coherent", CatParams(complex(1.2, 0.7))),
+])
+def test_tomogram_rows_equal_slice_pdfs(build, n_points):
+    # one density route: the exported tomogram and the slice CSV agree bit for bit
+    v = build()
+    grid = auto_grid(v, n_points=n_points)
+    tg = tomogram(v, 33, grid)
+    for theta, row in zip(tg.theta_grid, tg.values, strict=True):
+        assert np.array_equal(row, pdf_slice(v, theta, grid).pdf)
+
+
 def test_tomogram_rejects_low_theta_count():
     with pytest.raises(ValidationError):
         tomogram(vacuum(), 8, auto_grid(vacuum()))
@@ -491,8 +558,17 @@ def raw_tomograms(draw):
     thetas = draw(st.lists(doubles, min_size=rows, max_size=rows))
     cells = draw(st.lists(doubles, min_size=rows * cols, max_size=rows * cols))
     cells[:len(EDGE_DOUBLES)] = EDGE_DOUBLES
-    return Tomogram(np.array(thetas), QuadratureGrid(x_max, cols),
-                    np.array(cells).reshape(rows, cols))
+    values = np.array(cells).reshape(rows, cols)
+    # some rows are exact mirror images, as every row of a definite-parity
+    # state is; one is a mirror image but for +0.0 at one end and -0.0 at the
+    # other, equal in value and not in bits
+    mirror = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    signed_zeros = draw(st.integers(0, rows - 1))
+    for i in range(rows):
+        if mirror[i] or i == signed_zeros:
+            values[i, (cols + 1) // 2:] = values[i, :cols // 2][::-1]
+    values[signed_zeros, [0, -1]] = 0.0, -0.0
+    return Tomogram(np.array(thetas), QuadratureGrid(x_max, cols), values)
 
 
 @given(raw_tomograms())
