@@ -553,7 +553,7 @@ def per_line_tomogram_csv(tg):
 
 @st.composite
 def raw_tomograms(draw):
-    rows, cols = draw(st.integers(1, 5)), draw(st.integers(64, 80))
+    rows, cols = draw(st.integers(1, 5)), 2 * draw(st.integers(32, 40)) + draw(st.integers(0, 1))
     x_max = draw(st.sampled_from([5e-324, 1e-300, 8.0, 50.0]) | st.floats(1e-3, 50.0))
     thetas = draw(st.lists(doubles, min_size=rows, max_size=rows))
     cells = draw(st.lists(doubles, min_size=rows * cols, max_size=rows * cols))
