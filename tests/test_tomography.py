@@ -357,14 +357,6 @@ def test_slices_equal_the_four_full_table_route(build, theta, n_points):
     assert_equal_but_far_tail(tomography._slice_cdf(v, theta, grid), cdf)
 
 
-SINGLE_PARITY_STATES = [
-    lambda: build_svs_family(SqueezeParams(0.6), -2),
-    lambda: build_svs_family(SqueezeParams(0.7, 1.1), 3),
-    lambda: build_cat_family("even", CatParams(1.8), 2),
-    lambda: build_cat_family("odd", CatParams(complex(1.2, 0.7))),
-]
-
-
 def counted_density_products(monkeypatch):
     products = []
 
@@ -378,7 +370,12 @@ def counted_density_products(monkeypatch):
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 4])
-@pytest.mark.parametrize("build", SINGLE_PARITY_STATES)
+@pytest.mark.parametrize("build", [
+    lambda: build_svs_family(SqueezeParams(0.6), -2),
+    lambda: build_svs_family(SqueezeParams(0.7, 1.1), 3),
+    lambda: build_cat_family("even", CatParams(1.8), 2),
+    lambda: build_cat_family("odd", CatParams(complex(1.2, 0.7))),
+])
 def test_single_parity_mirrored_density_is_the_direct_one(build, theta, monkeypatch):
     # c_n (-1)^n is +-c up to the sign of zeros, and rounding is sign-symmetric,
     # so the density of the mirrored coefficients is the direct one bit for bit
