@@ -1,12 +1,13 @@
 """Two worker processes, each with a pipe of its own, for independent jobs.
 
 ``reproduce`` runs its products on them, and a crossover search its
-evaluations (``evaluation_map``).  A worker runs ``call(job)`` for each job
-that arrives on its pipe and sends back the job's outcome: ``(True, result,
-warnings)`` or ``(False, exception, warnings)``, each warning a (message,
-category, filename, lineno) record.  ``replay`` turns an outcome into its
-result in this process: it emits the warnings again and raises the
-exception, so a job's outcome is used, or thrown away, as a whole.
+evaluations, each through ``Workers``.  A worker runs ``call(job)`` for
+each job that arrives on its pipe and sends back the job's outcome:
+``(True, result, warnings)`` or ``(False, exception, warnings)``, each
+warning a (message, category, filename, lineno) record.  ``replay`` turns
+an outcome into its result in this process: it emits the warnings again
+and raises the exception, so a job's outcome is used, or thrown away, as a
+whole.  Where no worker can be forked, the jobs run in this process.
 
 Each worker shares no lock with its parent or the other worker, so a worker
 stopped at any point leaves nothing held, and it ends as soon as the process
@@ -15,7 +16,6 @@ that started it ends.  Importing this module loads no ``multiprocessing``.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import sys
 import warnings
@@ -78,21 +78,28 @@ def _worker(conn, call) -> None:
 
 
 class Workers:
-    """Two daemonic worker processes running ``call`` on the jobs of ``imap``.
+    """Two daemonic worker processes running ``call`` on the jobs of ``imap``, or none.
 
-    They are forked where the platform offers ``fork``, so they inherit
-    ``call`` and the rest of this process's state; elsewhere they start with
-    the platform's default method, and ``call`` must then be picklable.  A
-    context manager: leaving it stops both workers, also one still running
-    a job after a failure.
+    The workers are forked, so they inherit ``call`` (a closure, say) and the
+    rest of this process's state.  Where the platform has no ``fork``, or in
+    a daemonic process (one of reproduce's workers), which may start no
+    process, none is started and ``forked`` is False: ``imap`` then runs
+    each job here when its outcome is taken, so its exceptions and warnings
+    arise exactly where a plain loop meets them.  A context manager:
+    leaving it stops both workers, also one still running a job after a
+    failure.
     """
 
     def __init__(self, call):
         import multiprocessing
 
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork" if "fork" in methods else None)
+        self._call = call
         self._workers = {}  # this process's end of each worker's pipe -> that worker
+        self.forked = ("fork" in multiprocessing.get_all_start_methods()
+                       and not multiprocessing.current_process().daemon)
+        if not self.forked:
+            return
+        context = multiprocessing.get_context("fork")
         try:
             for _ in range(2):
                 conn, child_conn = context.Pipe()
@@ -123,8 +130,13 @@ class Workers:
 
         Jobs go to whichever worker is free.  A worker that ends before
         returning its result (killed, out of memory) raises ``NumericalError``
-        instead of leaving this process waiting for it.
+        instead of leaving this process waiting for it.  Without workers,
+        each job runs here when its outcome is taken.
         """
+        if not self.forked:
+            for job in jobs:
+                yield True, self._call(job), []
+            return
         import multiprocessing.connection
 
         pending, running, finished = list(enumerate(jobs))[::-1], {}, {}
@@ -150,23 +162,3 @@ class Workers:
                             f"before returning its result") from None
             yield finished.pop(index)
 
-
-@contextlib.contextmanager
-def evaluation_map(call):
-    """``(imap, parallel)``: ``Workers(call).imap`` and True, or an in-process
-    ``imap`` and False where this process cannot fork workers.
-
-    Forking is what hands ``call``, a closure, to the workers.  Without
-    ``fork``, or in a daemonic process (one of reproduce's workers), which
-    may not start children, each job runs here when its outcome is taken,
-    so its exceptions and warnings arise exactly where a plain loop meets
-    them.
-    """
-    import multiprocessing
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        yield (lambda jobs: ((True, call(job), []) for job in jobs)), False
-    else:
-        with Workers(call) as workers:
-            yield workers.imap, True

@@ -236,12 +236,15 @@ def _grid_for(cfg: dict, v) -> QuadratureGrid:
 
 
 def _parse_delta(token: str) -> int:
-    token = token.strip().lower()
-    if token.startswith("add"):
-        return int(token[3:])
-    if token.startswith("sub"):
-        return -int(token[3:])
-    return int(token)
+    text = token.strip().lower()
+    try:
+        if text.startswith("add"):
+            return int(text[3:])
+        if text.startswith("sub"):
+            return -int(text[3:])
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"bad photon delta {token!r}: use addK, subK or an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +579,9 @@ def _handle_reproduce(cfg: dict) -> list[tuple[str, bytes, str]]:
     exits within moments.  Each job's warnings, a failing job's too, are
     emitted again here, in the same order, so this process's warning
     filters apply.  The workers are daemonic and may start no process, so
-    each crossover search in them evaluates in-process.
+    each crossover search in them evaluates in-process; so do the jobs
+    themselves, serially in declared order, where no worker can be forked
+    (no ``fork``, or a daemonic process).
     """
     check_parameter_points(cfg["steps"], "sweep steps")
     ancestor = os.path.abspath(cfg["outdir"])

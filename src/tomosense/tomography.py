@@ -371,17 +371,16 @@ def tomogram(v: FockVector, theta_count: int, grid: QuadratureGrid) -> Tomogram:
         raise ValidationError(
             f"theta_count must be in [16, {MAX_THETA_COUNT}], got {theta_count}")
     thetas = 2.0 * math.pi * np.arange(theta_count) / theta_count
-    xs = grid.points()
     half = hermite_function(v.cutoff, _abscissae(grid)[0])
 
     def row(theta):
         return _unfolded_densities([_rotated_coefficients(v, theta)], half, grid.n_points)[0]
 
-    rows = np.empty((theta_count, len(xs)))
+    rows = np.empty((theta_count, grid.n_points))
     worst = 0.0  # checked row by row, so no check holds a full-size temporary
     for i, theta in enumerate(thetas):
         rows[i] = row(theta)
-        worst = max(worst, abs(float(np.trapezoid(rows[i], xs)) - 1.0))
+        worst = max(worst, abs(float(np.trapezoid(rows[i], dx=grid.spacing)) - 1.0))
     if worst > _ROW_NORM_TOL:
         raise GridTooNarrow(f"tomogram row normalization off by {worst:.3e}")
     _verify_symmetry(thetas, rows, row)

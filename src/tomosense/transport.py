@@ -287,24 +287,24 @@ def _scan_and_bisect(h: Callable[[float, int], float], bracket: tuple[float, flo
     |h(mid)| < ``residual_tol``, or after ``MAX_BISECTIONS`` evaluations; so
     even a scan cell already below ``width_tol`` reports a finite residual.
 
-    Every evaluation goes through one evaluation map, which runs on two
-    forked workers where it can (``_workers.evaluation_map``).  The scan
-    points are split between them.  Each bisection round sends its midpoint
-    to one worker, and to the other the midpoint the next round meets if
-    the root lies in the half the secant through the bracket ends points
-    to; a round sure to end the search (the last allowed one, or with no
-    residual target a cell below ``width_tol``) sends no guess.  A guessed
-    outcome is used only when the serial search reaches that
-    (counter, p); otherwise it is dropped with any exception or warning it
-    raised.  So the result, the warnings and the exceptions are those of
-    the serial search; in-process, the map evaluates exactly its points.
+    Every evaluation goes through one ``_workers.Workers``, which forks two
+    workers where it can.  The scan points are split between them.  Each
+    bisection round sends its midpoint to one worker, and to the other the
+    midpoint the next round meets if the root lies in the half the secant
+    through the bracket ends points to; a round sure to end the search (the
+    last allowed one, or with no residual target a cell below
+    ``width_tol``) sends no guess.  A guessed outcome is used only when the
+    serial search reaches that (counter, p); otherwise it is dropped with
+    any exception or warning it raised.  So the result, the warnings and the exceptions are those of
+    the serial search; unforked, the search evaluates exactly its points
+    in this process.
     """
     lo, hi = bracket
     _check_range(lo, hi, "bracket")
     check_parameter_points(scan_points, "scan points")
     ps = np.linspace(lo, hi, scan_points)
-    with _workers.evaluation_map(lambda job: h(job[1], job[0])) as (imap, parallel):
-        hs = np.array([_workers.replay(out) for out in imap(list(enumerate(ps)))])
+    with _workers.Workers(lambda job: h(job[1], job[0])) as workers:
+        hs = np.array([_workers.replay(out) for out in workers.imap(list(enumerate(ps)))])
         changes = np.nonzero(np.diff(np.sign(hs)) != 0)[0]
         n_changes = int(len(changes))
         if n_changes == 0:
@@ -326,10 +326,10 @@ def _scan_and_bisect(h: Callable[[float, int], float], bracket: tuple[float, flo
                 jobs = [job]
                 last = (k + 1 == MAX_BISECTIONS
                         or (b - a < width_tol and residual_tol == math.inf))
-                if parallel and not last:  # the secant root lies left of mid iff |ha| < |hb|
+                if workers.forked and not last:  # the secant root lies left of mid iff |ha| < |hb|
                     guess = 0.5 * (a + mid) if abs(ha) < abs(hb) else 0.5 * (mid + b)
                     jobs.append((job[0] + 1, guess))
-                ahead = dict(zip(jobs, imap(jobs)))
+                ahead = dict(zip(jobs, workers.imap(jobs)))
             hmid = _workers.replay(ahead.pop(job))
             if hmid == 0.0 or (b - a < width_tol and abs(hmid) < residual_tol):
                 break

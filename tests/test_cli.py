@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import doubles, needs_fork
+from conftest import _child_pids, doubles, needs_fork, run_in_daemon
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -424,6 +424,23 @@ def test_huge_numbers_exit_2(tmp_path, capsys, args, config, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,token", [
+    (["sweep", "--compare", "addx", "--steps", 3], "addx"),
+    (["crossover", "--pair", "add1:subz"], "subz"),
+    (["empirical-crossover", "--pair", "add1:add2:add3", "--shots", 10], "add2:add3"),
+])
+def test_malformed_photon_delta_exits_2_naming_it(tmp_path, monkeypatch, capsys, args, token):
+    def no_table(*args):
+        raise AssertionError("Hermite table built for a malformed photon delta")
+
+    monkeypatch.setattr(tomography, "hermite_function", no_table)
+    assert run_cli(*args, "--out", tmp_path / "x.out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tomosense: error: ") and err.count("\n") == 1, err
+    assert repr(token) in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_large_subtraction_and_vacuum_addition_limits(tmp_path):
     out = tmp_path / "coeffs.csv"
     with pytest.warns(UserWarning, match="validated range"):
@@ -725,6 +742,27 @@ def test_reproduce_worker_failure_exits_with_its_code_and_writes_nothing(
     assert f"process {os.getpid()}\n" not in err  # raised in a worker, not here
     assert not outdir.exists() or not os.listdir(outdir)
     assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_reproduce_in_a_daemonic_process_runs_its_jobs_in_it(tmp_path):
+    flags = {opt[2:].replace("-", "_"): value
+             for opt, value in zip(SMALL_REPRODUCE_ARGS[::2], SMALL_REPRODUCE_ARGS[1::2])}
+    daemonic, here = tmp_path / "daemonic", tmp_path / "here"
+
+    def reproduce():
+        return cli.run("reproduce", dict(flags, outdir=str(daemonic), empirical=0)), _child_pids()
+
+    assert run_in_daemon(reproduce) == (0, set())
+    assert cli.run("reproduce", dict(flags, outdir=str(here), empirical=0)) == 0
+    names = sorted(os.listdir(here))
+    assert sorted(os.listdir(daemonic)) == names
+    for name in names:
+        if name.endswith(".meta"):
+            assert (daemonic / name).read_text() == (here / name).read_text().replace(
+                str(here), str(daemonic)), name
+        else:
+            assert filecmp.cmp(daemonic / name, here / name, shallow=False), name
 
 
 # runs that start worker processes: (module, a function the workers call,
