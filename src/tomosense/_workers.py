@@ -1,7 +1,8 @@
 """Two worker processes, each with a pipe of its own, for independent jobs.
 
-``reproduce`` runs its products on them, and a crossover search its
-evaluations, each through ``Workers``.  A worker runs ``call(job)`` for
+``reproduce`` runs its products on them, and a crossover search its scan
+points and, in each bisection round, one job per curve, each through
+``Workers``.  A worker runs ``call(job)`` for
 each job that arrives on its pipe and sends back the job's outcome:
 ``(True, result, warnings)`` or ``(False, exception, warnings)``, each
 warning a (message, category, filename, lineno) record.  ``replay`` turns
@@ -83,11 +84,10 @@ class Workers:
     The workers are forked, so they inherit ``call`` (a closure, say) and the
     rest of this process's state.  Where the platform has no ``fork``, or in
     a daemonic process (one of reproduce's workers), which may start no
-    process, none is started and ``forked`` is False: ``imap`` then runs
-    each job here when its outcome is taken, so its exceptions and warnings
-    arise exactly where a plain loop meets them.  A context manager:
-    leaving it stops both workers, also one still running a job after a
-    failure.
+    process, none is started: ``imap`` then runs each job here when its
+    outcome is taken, so its exceptions and warnings arise exactly where a
+    plain loop meets them.  A context manager: leaving it stops both
+    workers, also one still running a job after a failure.
     """
 
     def __init__(self, call):
@@ -95,9 +95,9 @@ class Workers:
 
         self._call = call
         self._workers = {}  # this process's end of each worker's pipe -> that worker
-        self.forked = ("fork" in multiprocessing.get_all_start_methods()
+        self._forked = ("fork" in multiprocessing.get_all_start_methods()
                        and not multiprocessing.current_process().daemon)
-        if not self.forked:
+        if not self._forked:
             return
         context = multiprocessing.get_context("fork")
         try:
@@ -133,7 +133,7 @@ class Workers:
         instead of leaving this process waiting for it.  Without workers,
         each job runs here when its outcome is taken.
         """
-        if not self.forked:
+        if not self._forked:
             for job in jobs:
                 yield True, self._call(job), []
             return

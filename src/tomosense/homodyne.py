@@ -11,9 +11,10 @@ the same doubles, so sampling loads no scipy module.  It is evaluated at the
 uniforms in ascending order, which lets one search of the nodes into the
 sorted uniforms find every interval; each value depends only on its uniform,
 so a record returned in shot order is the same as one evaluated in shot
-order.  A crossover evaluation builds one inverse per distinct state (the
-reference is shared by both curves) and hands the sorted outcomes straight to
-the empirical W1, which only needs the multiset.
+order.  A crossover job builds one inverse per distinct state of the curves
+it evaluates (a scan point evaluates both, which share the reference; a
+bisection round evaluates each curve in a job of its own) and hands the
+sorted outcomes straight to the empirical W1, which only needs the multiset.
 
 Randomness comes from the counter-based Philox generator keyed by the user
 seed, with per-row child streams keyed by (master seed, row index); records
@@ -263,9 +264,11 @@ def empirical_crossover(pairs: tuple[PairBuilder, PairBuilder], theta: float,
     each curve; every evaluation draws four records with fresh child seeds
     keyed by its index in the serial search, so each one is a pure function
     of (p, index), whichever process makes it, and the whole search is a
-    pure function of (pairs, theta, bracket, shots, seed).  Each evaluation
-    builds one inverse CDF per distinct state, so a reference shared by both
-    curves is sliced once.  The expected location error scales like
+    pure function of (pairs, theta, bracket, shots, seed).  A scan point
+    evaluates both curves in one job, which builds one inverse CDF per
+    distinct state, so a reference shared by both curves is sliced once;
+    a bisection round evaluates each curve in a job of its own, and each
+    slices the reference.  The expected location error scales like
     3/sqrt(shots) in the parameter; when that exceeds a tenth of the bracket
     the result is flagged low-confidence.
 
@@ -279,12 +282,12 @@ def empirical_crossover(pairs: tuple[PairBuilder, PairBuilder], theta: float,
         raise ValidationError(f"shots must be in [2, {MAX_SHOTS}], got {shots}")
     check_angle(theta)
 
-    def h(p: float, counter: int) -> float:
+    def h(p: float, counter: int, curves: tuple[int, ...]) -> list[float]:
         inverses = {}
         values = []
-        for i, pair in enumerate(pairs):
+        for i in curves:
             outcomes = []
-            for j, spec in enumerate(pair(p)):
+            for j, spec in enumerate(pairs[i](p)):
                 if spec not in inverses:
                     inverses[spec] = _inverse_cdf(build_state(spec), theta)
                 inverse, u_lo, u_hi = inverses[spec]
@@ -292,7 +295,7 @@ def empirical_crossover(pairs: tuple[PairBuilder, PairBuilder], theta: float,
                 u.sort()
                 outcomes.append(inverse(u))
             values.append(w1_empirical(*outcomes))
-        return values[0] - values[1]
+        return values
 
     result = _scan_and_bisect(h, bracket, scan_points, 2.0 * PARAM_TOL, math.inf)
     lo, hi = bracket

@@ -272,39 +272,40 @@ def find_crossover(curve_a: W1Curve, curve_b: W1Curve, bracket: tuple[float, flo
     residual |h| at the midpoint is below ``RESIDUAL_TOL``, or for at most
     ``MAX_BISECTIONS`` evaluations.
     """
-    return _scan_and_bisect(lambda p, counter: curve_a(p, theta) - curve_b(p, theta),
+    return _scan_and_bisect(lambda p, counter, ks: [(curve_a, curve_b)[k](p, theta) for k in ks],
                             bracket, scan_points, PARAM_TOL, RESIDUAL_TOL)
 
 
-def _scan_and_bisect(h: Callable[[float, int], float], bracket: tuple[float, float],
-                     scan_points: int, width_tol: float, residual_tol: float) -> CrossoverResult:
-    """Scan h for sign changes (warning if there are several) and bisect the first.
+def _scan_and_bisect(values: Callable[[float, int, tuple[int, ...]], list[float]],
+                     bracket: tuple[float, float], scan_points: int, width_tol: float,
+                     residual_tol: float) -> CrossoverResult:
+    """Scan h = A - B for sign changes (warning if there are several) and bisect the first.
 
-    ``h(p, counter)`` gets the index of its evaluation in the serial search:
-    scan point i gets i, and bisection step k gets ``scan_points + k``.
+    ``values(p, counter, curves)`` returns the values at p of the listed
+    curves, 0 for A and 1 for B.  It gets the index of its evaluation in the
+    serial search: scan point i gets i, and bisection step k gets
+    ``scan_points + k``.
     Bisection stops after evaluating a midpoint ``mid`` when h(mid) == 0, or
     when the cell ``mid`` bisects is narrower than ``width_tol`` and
     |h(mid)| < ``residual_tol``, or after ``MAX_BISECTIONS`` evaluations; so
     even a scan cell already below ``width_tol`` reports a finite residual.
 
     Every evaluation goes through one ``_workers.Workers``, which forks two
-    workers where it can.  The scan points are split between them.  Each
-    bisection round sends its midpoint to one worker, and to the other the
-    midpoint the next round meets if the root lies in the half the secant
-    through the bracket ends points to; a round sure to end the search (the
-    last allowed one, or with no residual target a cell below
-    ``width_tol``) sends no guess.  A guessed outcome is used only when the
-    serial search reaches that (counter, p); otherwise it is dropped with
-    any exception or warning it raised.  So the result, the warnings and the exceptions are those of
-    the serial search; unforked, the search evaluates exactly its points
-    in this process.
+    workers where it can.  Each scan point is one job for both curves, and
+    the scan points are split between the workers; each bisection round
+    sends one job per curve, so A(mid) and B(mid) are evaluated side by
+    side.  Outcomes are replayed in serial order, A before B, so the
+    result, the warnings and the exceptions are those of the serial
+    A(p) - B(p).  Every job is one the serial search makes; unforked, they
+    run in this process in that order.
     """
     lo, hi = bracket
     _check_range(lo, hi, "bracket")
     check_parameter_points(scan_points, "scan points")
     ps = np.linspace(lo, hi, scan_points)
-    with _workers.Workers(lambda job: h(job[1], job[0])) as workers:
-        hs = np.array([_workers.replay(out) for out in workers.imap(list(enumerate(ps)))])
+    with _workers.Workers(lambda job: values(*job)) as workers:
+        scan = [(p, i, (0, 1)) for i, p in enumerate(ps)]
+        hs = np.array([va - vb for va, vb in map(_workers.replay, workers.imap(scan))])
         changes = np.nonzero(np.diff(np.sign(hs)) != 0)[0]
         n_changes = int(len(changes))
         if n_changes == 0:
@@ -317,26 +318,18 @@ def _scan_and_bisect(h: Callable[[float, int], float], bracket: tuple[float, flo
                 stacklevel=3,
             )
         a, b = float(ps[changes[0]]), float(ps[changes[0] + 1])
-        ha, hb = float(hs[changes[0]]), float(hs[changes[0] + 1])
-        ahead = {}  # (counter, p) -> outcome, of this round's point and its guessed successor
+        ha = float(hs[changes[0]])
         for k in range(MAX_BISECTIONS):
             mid = 0.5 * (a + b)
-            job = (scan_points + k, mid)
-            if job not in ahead:
-                jobs = [job]
-                last = (k + 1 == MAX_BISECTIONS
-                        or (b - a < width_tol and residual_tol == math.inf))
-                if workers.forked and not last:  # the secant root lies left of mid iff |ha| < |hb|
-                    guess = 0.5 * (a + mid) if abs(ha) < abs(hb) else 0.5 * (mid + b)
-                    jobs.append((job[0] + 1, guess))
-                ahead = dict(zip(jobs, workers.imap(jobs)))
-            hmid = _workers.replay(ahead.pop(job))
+            jobs = [(mid, scan_points + k, (0,)), (mid, scan_points + k, (1,))]
+            (va,), (vb,) = map(_workers.replay, workers.imap(jobs))
+            hmid = va - vb
             if hmid == 0.0 or (b - a < width_tol and abs(hmid) < residual_tol):
                 break
             if (hmid > 0) == (ha > 0):
                 a, ha = mid, hmid
             else:
-                b, hb = mid, hmid
+                b = mid
     return CrossoverResult(True, mid, bracket, abs(hmid), scan_points, n_changes)
 
 

@@ -1,6 +1,7 @@
 import math
 import os
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -242,6 +243,26 @@ def test_empirical_crossover_in_a_daemonic_process_evaluates_the_serial_points_i
     result, calls_made, pid = run_in_daemon(search)
     assert result == reference
     assert calls_made == [(pid, p) for p in visited]
+
+
+@needs_fork
+def test_forked_empirical_crossover_builds_each_pair_once_per_serial_evaluation(tmp_path):
+    log = tmp_path / "built"
+
+    def logged(i, pair):
+        def builder(p):
+            with open(log, "a", encoding="utf-8") as fh:  # appended from whichever process
+                fh.write(f"{i} {float(p)!r}\n")
+            return pair(p)
+
+        return builder
+
+    pairs = tuple(logged(i, state_pair(svs_spec(), svs_spec(m=m))) for i, m in enumerate((1, 2)))
+    reference = shot_order_crossover(pairs, 0.0, (0.30, 0.60), 10**4, 2024, 12)
+    serial = Counter(log.read_text().splitlines())
+    log.unlink()
+    assert empirical_crossover(pairs, 0.0, (0.30, 0.60), 10**4, 2024, scan_points=12) == reference
+    assert Counter(log.read_text().splitlines()) == serial
 
 
 def test_shots_validation(monkeypatch):

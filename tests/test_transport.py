@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -383,8 +384,8 @@ def test_crossover_json_record():
 
 
 def kinked(p, theta):
-    """A curve whose slope jumps tenfold at its root, 0.37, so the secant guesses
-    of the parallel bisection miss several times."""
+    """A curve whose slope jumps tenfold at its root, 0.37, so the bisection
+    meets residuals of two scales."""
     return (p - 0.37) * (1.0 if p < 0.37 else 10.0)
 
 
@@ -395,7 +396,7 @@ def flat(p, theta):
 KINKED_SEARCH = ((0.0, 1.0), 0.0, 8)  # bracket, theta, scan points
 
 
-def serial_points(curve_a, curve_b):
+def serial_points(curve_a, curve_b, **tols):
     """The points the written-out search evaluates on ``KINKED_SEARCH``, and its result."""
     points = []
 
@@ -403,69 +404,49 @@ def serial_points(curve_a, curve_b):
         points.append(p)
         return curve_a(p, theta)
 
-    return points, written_out_find_crossover(recorded, curve_b, *KINKED_SEARCH)
+    return points, written_out_find_crossover(recorded, curve_b, *KINKED_SEARCH, **tols)
 
 
-@pytest.mark.parametrize("failure", ["raise", "warn"])
-def test_crossover_drops_what_points_off_the_serial_path_raise_or_warn(tmp_path, failure):
-    visited, reference = serial_points(kinked, flat)
+# the exact search (ids: the failure alone), then the sampled search's stop with
+# no residual target, at a width where the first round is the last and at its own
+SEARCHES = [(failure, width_tol) for width_tol in (None, 0.5, 2e-4)
+            for failure in ("raise", "warn")]
+
+
+@pytest.mark.parametrize("failure,width_tol", SEARCHES,
+                         ids=[f if w is None else f"{f}-{w}" for f, w in SEARCHES])
+def test_crossover_drops_what_points_off_the_serial_path_raise_or_warn(tmp_path, failure,
+                                                                      width_tol):
+    tols = {} if width_tol is None else {"param_tol": width_tol, "residual_tol": math.inf}
+    visited, reference = serial_points(kinked, flat, **tols)
     log = tmp_path / "evaluated"
 
-    def curve(p, theta):
-        with open(log, "a", encoding="utf-8") as fh:  # appended from whichever process
-            fh.write(f"{float(p)!r}\n")
-        if p not in visited:
-            if failure == "raise":
-                raise ValidationError(f"no serial evaluation at {p!r}")
-            warnings.warn(f"no serial evaluation at {p!r}", UserWarning)
-        return kinked(p, theta)
+    def logged(name, curve):
+        def evaluate(p, theta):
+            with open(log, "a", encoding="utf-8") as fh:  # appended from whichever process
+                fh.write(f"{name} {float(p)!r}\n")
+            if p not in visited:  # a tripwire: the search makes no evaluation of its own
+                if failure == "raise":
+                    raise ValidationError(f"no serial evaluation at {p!r}")
+                warnings.warn(f"no serial evaluation at {p!r}", UserWarning)
+            return curve(p, theta)
 
+        return evaluate
+
+    curves = logged("a", kinked), logged("b", flat)
+    bracket, theta, scan_points = KINKED_SEARCH
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert find_crossover(curve, flat, *KINKED_SEARCH) == reference
+        if width_tol is None:
+            result = find_crossover(*curves, *KINKED_SEARCH)
+        else:
+            result = _scan_and_bisect(lambda p, counter, ks: [curves[k](p, theta) for k in ks],
+                                      bracket, scan_points, width_tol, math.inf)
+    assert result == reference
     assert caught == []
     assert multiprocessing.active_children() == []
-    evaluated = {float(line) for line in log.read_text().split()}
-    if "fork" in multiprocessing.get_all_start_methods():
-        assert evaluated > set(visited)  # guessed points, each failing, were dropped
-    else:
-        assert evaluated == set(visited)
-
-
-# the first round is the last; the sampled search's width, whose last round
-# meets a midpoint no earlier round guessed
-@pytest.mark.parametrize("width_tol", [0.5, 2e-4])
-def test_search_sends_no_guess_in_a_round_sure_to_end_it(tmp_path, width_tol):
-    # with no residual target, the round whose cell is below width_tol ends the search
-    bracket, scan_points = (0.0, 1.0), 8
-    ps = np.linspace(*bracket, scan_points)
-    hs = [kinked(p, 0.0) for p in ps]
-    i = next(i for i in range(scan_points - 1) if (hs[i] > 0) != (hs[i + 1] > 0))
-    a, b, ha, hb = ps[i], ps[i + 1], hs[i], hs[i + 1]
-    mids, guesses = [], []  # per round of the serial search: its midpoint, the guess sent with it
-    while True:
-        mid = 0.5 * (a + b)
-        mids.append(mid)
-        guesses.append(0.5 * (a + mid) if abs(ha) < abs(hb) else 0.5 * (mid + b))
-        hmid = kinked(mid, 0.0)
-        if hmid == 0.0 or b - a < width_tol:
-            break
-        if (hmid > 0) == (ha > 0):
-            a, ha = mid, hmid
-        else:
-            b, hb = mid, hmid
-    log = tmp_path / "evaluated"
-
-    def h(p, counter):
-        with open(log, "a", encoding="utf-8") as fh:  # appended from whichever process
-            fh.write(f"{float(p)!r}\n")
-        return kinked(p, 0.0)
-
-    result = _scan_and_bisect(h, bracket, scan_points, width_tol, math.inf)
-    assert result.location == mids[-1]
-    evaluated = {float(line) for line in log.read_text().split()}
-    assert guesses[-1] not in set(ps) | set(mids)
-    assert evaluated <= set(ps) | set(mids) | set(guesses[:-1])
+    evaluated = Counter(log.read_text().splitlines())
+    assert evaluated == Counter(f"{name} {float(p)!r}" for p in visited for name in "ab")
 
 
 @pytest.mark.parametrize("index", [3, 8, 13])  # a scan point, the first and a later midpoint
