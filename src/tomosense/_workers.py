@@ -2,13 +2,13 @@
 
 ``reproduce`` runs its products on them, and a crossover search its scan
 points and, in each bisection round, one job per curve, each through
-``Workers``.  A worker runs ``call(job)`` for
-each job that arrives on its pipe and sends back the job's outcome:
-``(True, result, warnings)`` or ``(False, exception, warnings)``, each
-warning a (message, category, filename, lineno) record.  ``replay`` turns
-an outcome into its result in this process: it emits the warnings again
-and raises the exception, so a job's outcome is used, or thrown away, as a
-whole.  Where no worker can be forked, the jobs run in this process.
+``Workers``.  A worker runs ``call(job)`` for each job that arrives on its
+pipe and sends back the job's outcome: ``(True, result, warnings)`` or
+``(False, exception, warnings)``, each warning a (message, category,
+filename, lineno) record.  ``replay`` turns an outcome into its result in
+this process: it emits the warnings again and raises the exception, so a
+job's outcome is used, or thrown away, as a whole.  Where no worker can be
+forked, the jobs run in this process.
 
 Each worker shares no lock with its parent or the other worker, so a worker
 stopped at any point leaves nothing held, and it ends as soon as the process
@@ -96,7 +96,7 @@ class Workers:
         self._call = call
         self._workers = {}  # this process's end of each worker's pipe -> that worker
         self._forked = ("fork" in multiprocessing.get_all_start_methods()
-                       and not multiprocessing.current_process().daemon)
+                        and not multiprocessing.current_process().daemon)
         if not self._forked:
             return
         context = multiprocessing.get_context("fork")
