@@ -296,8 +296,8 @@ def _scan_and_bisect(values: Callable[[float, int, tuple[int, ...]], list[float]
     sends one job per curve, so A(mid) and B(mid) are evaluated side by
     side.  Outcomes are replayed in serial order, A before B, so the
     result, the warnings and the exceptions are those of the serial
-    A(p) - B(p).  Every job is one the serial search makes; unforked, they
-    run in this process in that order.
+    A(p) - B(p).  Every job is one the serial search makes; without
+    workers, they run in this process in that order.
     """
     lo, hi = bracket
     _check_range(lo, hi, "bracket")
